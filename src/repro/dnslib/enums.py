@@ -9,6 +9,9 @@ cache-update messages and lease negotiation, alongside the standard
 from __future__ import annotations
 
 import enum
+from typing import Dict, Type, TypeVar
+
+_E = TypeVar("_E", bound=enum.IntEnum)
 
 
 class RRType(enum.IntEnum):
@@ -84,6 +87,27 @@ class Rcode(enum.IntEnum):
     NXRRSET = 8
     NOTAUTH = 9
     NOTZONE = 10
+
+
+class ValueTable(Dict[int, _E]):
+    """Wire value -> enum member, without the enum call on known values.
+
+    ``table[value]`` is one dict lookup.  An unknown value falls back to
+    the enum call, so it raises the same ``ValueError`` the call would.
+    """
+
+    def __init__(self, enum_cls: Type[_E]):
+        super().__init__((member.value, member) for member in enum_cls)
+        self._enum_cls = enum_cls
+
+    def __missing__(self, value: int) -> _E:
+        return self._enum_cls(value)
+
+
+RRTYPES: "ValueTable[RRType]" = ValueTable(RRType)
+RRCLASSES: "ValueTable[RRClass]" = ValueTable(RRClass)
+RCODES: "ValueTable[Rcode]" = ValueTable(Rcode)
+OPCODES: "ValueTable[Opcode]" = ValueTable(Opcode)
 
 
 #: RFC 1035 §2.3.4 limit on UDP message payloads; the DNScup prototype

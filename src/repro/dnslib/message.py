@@ -23,9 +23,10 @@ import itertools
 import struct
 from typing import List, Optional, Tuple
 
-from .enums import MAX_UDP_PAYLOAD, Opcode, Rcode, RRClass, RRType
+from .enums import (MAX_UDP_PAYLOAD, OPCODES, RCODES, RRCLASSES, RRTYPES, Opcode,
+                    Rcode, RRClass, RRType)
 from .name import Name, as_name
-from .records import ResourceRecord
+from .records import RR_FIXED, ResourceRecord, raise_short_group
 from .wire import WireFormatError, WireReader, WireWriter
 
 FLAG_QR = 0x8000
@@ -49,6 +50,13 @@ _id_counter = itertools.count(1)
 
 _ROOT_NAME = Name.root()
 
+#: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT (RFC 1035 §4.1.1).
+_HEADER = struct.Struct("!HHHHHH")
+#: QTYPE, QCLASS, and on DNScup-aware messages the RRC.
+_QUESTION = struct.Struct("!HH")
+_QUESTION_RRC = struct.Struct("!HHH")
+_LLT = struct.Struct("!H")
+
 
 def next_message_id() -> int:
     """A process-wide deterministic ID sequence (wraps at 16 bits)."""
@@ -63,8 +71,8 @@ class Question:
     def __init__(self, name, rrtype: RRType, rrclass: RRClass = RRClass.IN,
                  rrc: Optional[int] = None):
         self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
+        self.rrtype = RRTYPES[rrtype]
+        self.rrclass = RRCLASSES[rrclass]
         if rrc is not None and not 0 <= rrc <= MAX_U16:
             raise ValueError(f"RRC out of 16-bit range: {rrc}")
         self.rrc = rrc
@@ -72,19 +80,26 @@ class Question:
     def to_wire(self, writer: WireWriter, cu: bool) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
         if cu:
-            writer.write_u16(self.rrc if self.rrc is not None else 0)
+            writer.write_struct(_QUESTION_RRC, self.rrtype, self.rrclass,
+                                self.rrc if self.rrc is not None else 0)
+        else:
+            writer.write_struct(_QUESTION, self.rrtype, self.rrclass)
 
     @classmethod
     def from_wire(cls, reader: WireReader, cu: bool) -> "Question":
-        """Decode one instance from the reader's cursor."""
+        """Decode one question at the reader's cursor, without re-validation."""
         name = reader.read_name()
-        rrtype = RRType(reader.read_u16())
-        rrclass = RRClass(reader.read_u16())
-        rrc = reader.read_u16() if cu else None
-        return cls(name, rrtype, rrclass, rrc)
+        try:
+            fields = reader.unpack(_QUESTION_RRC if cu else _QUESTION)
+        except WireFormatError:
+            raise_short_group(reader)
+        question = object.__new__(cls)
+        question.name = name
+        question.rrtype = RRTYPES[fields[0]]
+        question.rrclass = RRCLASSES[fields[1]]
+        question.rrc = fields[2] if cu else None
+        return question
 
     def key(self) -> Tuple[Name, RRType, RRClass]:
         """The lookup key for this object."""
@@ -118,7 +133,7 @@ class Message:
                  rcode: Rcode = Rcode.NOERROR):
         self.id = next_message_id() if msg_id is None else msg_id
         self.flags = flags
-        self.rcode_value = Rcode(rcode)
+        self.rcode_value = RCODES[rcode]
         self.question: List[Question] = []
         self.answer: List[ResourceRecord] = []
         self.authority: List[ResourceRecord] = []
@@ -134,7 +149,7 @@ class Message:
     @property
     def opcode(self) -> Opcode:
         """The message opcode from the header flags."""
-        return Opcode((self.flags >> _OPCODE_SHIFT) & _OPCODE_MASK)
+        return OPCODES[(self.flags >> _OPCODE_SHIFT) & _OPCODE_MASK]
 
     @opcode.setter
     def opcode(self, value: Opcode) -> None:
@@ -150,7 +165,7 @@ class Message:
     @rcode.setter
     def rcode(self, value: Rcode) -> None:
         """The response code."""
-        self.rcode_value = Rcode(value)
+        self.rcode_value = RCODES[value]
 
     def _flag(self, bit: int) -> bool:
         return bool(self.flags & bit)
@@ -191,67 +206,62 @@ class Message:
     # -- wire ------------------------------------------------------------------
 
     def to_wire(self) -> bytes:
-        """Serialize onto ``writer`` in RFC 1035 wire format."""
+        """This message in RFC 1035 wire format, as a new ``bytes``."""
         writer = WireWriter()
-        writer.write_u16(self.id)
-        writer.write_u16(self.flags & 0xFFF0 | (int(self.rcode_value) & 0xF))
         extra = 1 if self.edns_payload_size is not None else 0
-        writer.write_u16(len(self.question))
-        writer.write_u16(len(self.answer))
-        writer.write_u16(len(self.authority))
-        writer.write_u16(len(self.additional) + extra)
-        cu = self.cache_update_aware
+        writer.write_struct(
+            _HEADER, self.id, self.flags & 0xFFF0 | (int(self.rcode_value) & 0xF),
+            len(self.question), len(self.answer), len(self.authority),
+            len(self.additional) + extra)
+        cu = self.flags & FLAG_CU
         for question in self.question:
             question.to_wire(writer, cu)
         for record in self.answer:
             record.to_wire(writer)
-        if cu and self.is_response:
-            writer.write_u16(self.llt if self.llt is not None else 0)
+        if cu and self.flags & FLAG_QR:
+            writer.write_struct(_LLT, self.llt if self.llt is not None else 0)
         for record in self.authority:
             record.to_wire(writer)
         for record in self.additional:
             record.to_wire(writer)
-        if self.edns_payload_size is not None:
-            # RFC 6891 OPT pseudo-RR: root owner, CLASS = payload size.
+        if extra:
+            # RFC 6891 OPT pseudo-RR: root owner, CLASS = payload size,
+            # extended rcode/version/flags all zero, empty RDATA.
             writer.write_name(_ROOT_NAME)
-            writer.write_u16(RRType.OPT)
-            writer.write_u16(self.edns_payload_size)
-            writer.write_u32(0)   # extended rcode/version/flags: all zero
-            writer.write_u16(0)   # empty RDATA
+            writer.write_struct(RR_FIXED, RRType.OPT, self.edns_payload_size, 0, 0)
         return writer.getvalue()
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
-        """Decode one instance from the reader's cursor."""
+        """Decode a whole message from its wire bytes.
+
+        Raises :class:`WireFormatError` (or ``ValueError`` for an unknown
+        type, class or rcode) on malformed input, and on trailing bytes.
+        """
         reader = WireReader(data)
-        msg_id = reader.read_u16()
-        raw_flags = reader.read_u16()
-        counts = [reader.read_u16() for _ in range(4)]
-        message = cls(msg_id, raw_flags & 0xFFF0, Rcode(raw_flags & 0xF))
-        cu = message.cache_update_aware
-        for _ in range(counts[0]):
-            message.question.append(Question.from_wire(reader, cu))
-        for _ in range(counts[1]):
-            message.answer.append(ResourceRecord.from_wire(reader))
-        if cu and message.is_response:
-            llt = reader.read_u16()
-            message.llt = llt or None
-        for _ in range(counts[2]):
-            message.authority.append(ResourceRecord.from_wire(reader))
-        for _ in range(counts[3]):
-            # Peek for an EDNS0 OPT pseudo-record: its CLASS field holds
-            # a payload size, not a real class, so it cannot go through
-            # ResourceRecord.from_wire.
-            mark = reader.offset
-            reader.read_name()
-            peeked_type = reader.read_u16()
-            if peeked_type == RRType.OPT:
-                message.edns_payload_size = reader.read_u16()
-                reader.read_u32()                      # ext-rcode/flags
-                reader.read_bytes(reader.read_u16())   # RDATA (ignored)
+        msg_id, raw_flags, qdcount, ancount, nscount, arcount = reader.unpack(_HEADER)
+        message = cls(msg_id, raw_flags & 0xFFF0, RCODES[raw_flags & 0xF])
+        cu = raw_flags & FLAG_CU
+        question_from_wire = Question.from_wire
+        record_from_wire = ResourceRecord.from_wire
+        for _ in range(qdcount):
+            message.question.append(question_from_wire(reader, cu))
+        for _ in range(ancount):
+            message.answer.append(record_from_wire(reader))
+        if cu and raw_flags & FLAG_QR:
+            message.llt = reader.unpack(_LLT)[0] or None
+        for _ in range(nscount):
+            message.authority.append(record_from_wire(reader))
+        for _ in range(arcount):
+            name = reader.read_name()
+            # An EDNS0 OPT pseudo-record's CLASS field holds a payload
+            # size, not a real class, so it is not decoded as a record.
+            if reader.peek_u16() == RRType.OPT:
+                _, payload_size, _, rdlength = reader.unpack(RR_FIXED)
+                reader.read_bytes(rdlength)   # RDATA (ignored)
+                message.edns_payload_size = payload_size
                 continue
-            reader.seek(mark)
-            message.additional.append(ResourceRecord.from_wire(reader))
+            message.additional.append(record_from_wire(reader, name))
         if reader.remaining:
             raise WireFormatError(f"{reader.remaining} trailing bytes after message")
         return message

@@ -10,6 +10,7 @@ the simulator fabricates millions of them and string keys are cheap.
 from __future__ import annotations
 
 import struct
+from socket import inet_aton
 from typing import Callable, ClassVar, Dict, List, Tuple, Type
 
 from .enums import RRType
@@ -113,7 +114,7 @@ class A(Rdata):
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
-        writer.write_bytes(bytes(int(p) for p in self.address.split(".")))
+        writer.write_bytes(inet_aton(self.address))
 
     def to_text(self) -> str:
         """Master-file (presentation) rendering."""
@@ -124,7 +125,10 @@ class A(Rdata):
         """Decode one instance from the reader's cursor."""
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 bytes, got {rdlength}")
-        return cls(".".join(str(b) for b in reader.read_bytes(4)))
+        # Four octets always spell a valid address: skip _check_ipv4.
+        rdata = object.__new__(cls)
+        rdata.address = "%d.%d.%d.%d" % tuple(reader.read_bytes(4))
+        return rdata
 
     @classmethod
     def from_text(cls, fields: List[str], origin: Name) -> "A":

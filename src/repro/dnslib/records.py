@@ -8,12 +8,32 @@ zone stores and a cache caches.  TTLs live on the set, matching RFC 2181
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+import struct
+from typing import Iterable, Iterator, List, NoReturn, Optional, Tuple
 
-from .enums import RRClass, RRType
+from .enums import RRCLASSES, RRTYPES, RRClass, RRType
 from .name import Name, as_name
 from .rdata import Rdata, rdata_from_wire
-from .wire import WireReader, WireWriter
+from .wire import WireFormatError, WireReader, WireWriter
+
+#: TYPE, CLASS, TTL, RDLENGTH — the fixed fields after an RR's owner name.
+RR_FIXED = struct.Struct("!HHIH")
+_TYPE_CLASS_TTL = struct.Struct("!HHI")
+
+#: RFC 2181 §8: a TTL with the most significant bit set is read as 0.
+_MAX_TTL = 0x7FFFFFFF
+
+
+def raise_short_group(reader: WireReader) -> NoReturn:
+    """Raise what field-by-field reads raise on a short TYPE/CLASS group.
+
+    A fixed-field group that does not fit is decoded one field at a time
+    to find its first error: an unknown TYPE, then an unknown CLASS, is
+    reported ahead of the truncation, as a field-by-field reader would.
+    """
+    RRTYPES[reader.read_u16()]
+    RRCLASSES[reader.read_u16()]
+    raise WireFormatError("truncated message")
 
 
 class ResourceRecord:
@@ -24,9 +44,9 @@ class ResourceRecord:
     def __init__(self, name, rrtype: RRType, ttl: int, rdata: Rdata,
                  rrclass: RRClass = RRClass.IN):
         self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
-        if ttl < 0 or ttl > 0x7FFFFFFF:
+        self.rrtype = RRTYPES[rrtype]
+        self.rrclass = RRCLASSES[rrclass]
+        if ttl < 0 or ttl > _MAX_TTL:
             raise ValueError(f"TTL out of range: {ttl}")
         self.ttl = ttl
         self.rdata = rdata
@@ -36,29 +56,33 @@ class ResourceRecord:
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
-        writer.write_u32(self.ttl)
-        # RDLENGTH is not knowable before rdata is rendered (name
-        # compression), so render into a sub-writer that shares no
-        # compression state crossing the length field.  We render rdata
-        # with compression disabled to keep lengths deterministic.
-        sub = WireWriter(compress=False)
-        self.rdata.to_wire(sub)
-        payload = sub.getvalue()
-        writer.write_u16(len(payload))
-        writer.write_bytes(payload)
+        writer.write_struct(_TYPE_CLASS_TTL, self.rrtype, self.rrclass, self.ttl)
+        writer.write_rdata(self.rdata)
 
     @classmethod
-    def from_wire(cls, reader: WireReader) -> "ResourceRecord":
-        """Decode one instance from the reader's cursor."""
-        name = reader.read_name()
-        rrtype = RRType(reader.read_u16())
-        rrclass = RRClass(reader.read_u16())
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
-        rdata = rdata_from_wire(rrtype, reader, rdlength)
-        return cls(name, rrtype, ttl, rdata, rrclass)
+    def from_wire(cls, reader: WireReader,
+                  name: Optional[Name] = None) -> "ResourceRecord":
+        """Decode one record at the reader's cursor.
+
+        ``name`` is the owner when the caller has already read it.  The
+        decoded fields are not re-validated, except that a TTL with the
+        top bit set reads as 0 (RFC 2181 §8).
+        """
+        if name is None:
+            name = reader.read_name()
+        try:
+            rrtype, rrclass, ttl, rdlength = reader.unpack(RR_FIXED)
+        except WireFormatError:
+            raise_short_group(reader)
+        rrtype = RRTYPES[rrtype]
+        rrclass = RRCLASSES[rrclass]
+        record = object.__new__(cls)
+        record.name = name
+        record.rrtype = rrtype
+        record.rrclass = rrclass
+        record.ttl = ttl if ttl <= _MAX_TTL else 0
+        record.rdata = rdata_from_wire(rrtype, reader, rdlength)
+        return record
 
     # -- text --------------------------------------------------------------
 
@@ -97,8 +121,8 @@ class RRSet:
     def __init__(self, name, rrtype: RRType, ttl: int,
                  rdatas: Iterable[Rdata] = (), rrclass: RRClass = RRClass.IN):
         self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
+        self.rrtype = RRTYPES[rrtype]
+        self.rrclass = RRCLASSES[rrclass]
         self.ttl = ttl
         self._rdatas: List[Rdata] = []
         for rdata in rdatas:

@@ -31,6 +31,18 @@ class TestResourceRecord:
         with pytest.raises(ValueError):
             ResourceRecord("a.b", RRType.A, 2 ** 31, A("1.2.3.4"))
 
+    def test_ttl_with_top_bit_set_decodes_as_zero(self):
+        # RFC 2181 §8: such a TTL is treated as 0, not as a malformed RR.
+        record = ResourceRecord("www.example.com", RRType.A, 300, A("1.2.3.4"))
+        writer = WireWriter()
+        record.to_wire(writer)
+        wire = writer.getvalue()
+        ttl_at = wire.index((300).to_bytes(4, "big"))
+        patched = wire[:ttl_at] + (0x80000001).to_bytes(4, "big") + wire[ttl_at + 4:]
+        decoded = ResourceRecord.from_wire(WireReader(patched))
+        assert decoded.ttl == 0
+        assert decoded.rdata == A("1.2.3.4")
+
     def test_to_text_fields(self):
         record = ResourceRecord("www.example.com", RRType.A, 60, A("1.2.3.4"))
         assert record.to_text() == "www.example.com. 60 IN A 1.2.3.4"

@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.dnslib import Name, WireFormatError, WireReader, WireWriter
+from repro.dnslib import (
+    A,
+    Message,
+    Name,
+    ResourceRecord,
+    RRType,
+    WireFormatError,
+    WireReader,
+    WireWriter,
+    make_query,
+    make_response,
+    wire,
+)
 
 
 class TestPrimitives:
@@ -136,3 +148,57 @@ class TestNames:
     def test_deep_chain_roundtrip(self):
         names = [f"h{i}.deep.example.org" for i in range(20)]
         self.roundtrip(*names)
+
+
+def _encode_name(text: str, compress: bool = True) -> bytes:
+    writer = WireWriter(compress=compress)
+    writer.write_name(Name.from_text(text))
+    return writer.getvalue()
+
+
+class TestCodecCaches:
+    """The decode intern table and the encoder's label-chunk cache."""
+
+    def test_intern_table_stays_within_cap(self):
+        for i in range(wire.NAME_INTERN_CAP + 50):
+            name = WireReader(_encode_name(f"h{i}.cap.example")).read_name()
+            assert name.labels == (f"h{i}", "cap", "example")
+            assert len(wire._DECODED_NAMES) <= wire.NAME_INTERN_CAP
+
+    def test_label_cache_stays_within_cap(self):
+        for i in range(wire.LABEL_CACHE_CAP + 50):
+            encoded = _encode_name(f"h{i}.cap.example")
+            assert WireReader(encoded).read_name() == Name.from_text(f"h{i}.cap.example")
+            assert len(wire._LABEL_CHUNKS) <= wire.LABEL_CACHE_CAP
+
+    def test_repeat_decode_returns_interned_name(self):
+        encoded = _encode_name("www.interned.example")
+        assert WireReader(encoded).read_name() is WireReader(encoded).read_name()
+
+    def test_case_variants_keep_their_own_spelling(self):
+        upper = _encode_name("WWW.Example.com")
+        lower = _encode_name("www.example.com")
+        assert upper != lower
+        assert upper == b"\x03WWW\x07Example\x03com\x00"
+        assert lower == b"\x03www\x07example\x03com\x00"
+        # Encoding the other spelling first does not change the bytes.
+        assert _encode_name("WWW.Example.com") == upper
+        decoded_upper = WireReader(upper).read_name()
+        decoded_lower = WireReader(lower).read_name()
+        assert decoded_upper.labels == ("WWW", "Example", "com")
+        assert decoded_lower.labels == ("www", "example", "com")
+        assert decoded_upper is not decoded_lower
+        # Case-insensitive equality and hashing are unaffected.
+        assert decoded_upper == decoded_lower
+        assert hash(decoded_upper) == hash(decoded_lower)
+        assert len({decoded_upper, decoded_lower}) == 1
+
+    def test_case_variants_roundtrip_through_messages(self):
+        for text in ("WWW.Example.com", "www.example.com", "Www.EXAMPLE.Com"):
+            query = make_query(text, RRType.A)
+            response = make_response(query)
+            response.answer.append(ResourceRecord(text, RRType.A, 60, A("1.2.3.4")))
+            decoded = Message.from_wire(response.to_wire())
+            assert decoded.question[0].name.to_text() == text + "."
+            assert decoded.answer[0].name.to_text() == text + "."
+            assert decoded.to_wire() == response.to_wire()

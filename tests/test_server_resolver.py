@@ -15,6 +15,7 @@ from repro.dnslib import (
     SOA,
     make_cache_update,
     make_query,
+    make_response,
 )
 from repro.net import LinkProfile, RetryPolicy
 from repro.server import AuthoritativeServer, RecursiveResolver, ResolverCache
@@ -153,6 +154,35 @@ class TestIterativeResolution:
     def test_requires_root_hint(self, make_host):
         with pytest.raises(ValueError):
             RecursiveResolver(make_host("10.2.0.3"), [])
+
+
+class TestRfc2181Ttl:
+    def test_answer_with_top_bit_ttl_is_used_with_ttl_zero(self, make_host,
+                                                            simulator):
+        """A TTL with its top bit set reads as 0 instead of dropping the
+        response as malformed (RFC 2181 §8), so the resolver answers
+        from it rather than failing over."""
+        server = make_host("198.41.0.4").dns_socket()
+
+        def answer(payload, src, dst):
+            query = Message.from_wire(payload)
+            response = make_response(query)
+            response.authoritative = True
+            response.answer.append(ResourceRecord(
+                query.question[0].name, RRType.A, 300, A("192.0.2.1")))
+            wire = response.to_wire()
+            ttl_at = wire.rindex((300).to_bytes(4, "big") + b"\x00\x04")
+            server.send(wire[:ttl_at] + (0x80000001).to_bytes(4, "big")
+                        + wire[ttl_at + 4:], src)
+
+        server.on_receive(answer)
+        resolver = RecursiveResolver(make_host("10.2.0.1"), [("198.41.0.4", 53)],
+                                     cache=ResolverCache())
+        records, rcode = resolve(resolver, simulator, "www.example.com")
+        assert rcode == Rcode.NOERROR
+        assert [(r.rdata, r.ttl) for r in records] == [(A("192.0.2.1"), 0)]
+        assert resolver.stats.upstream_queries == 1
+        assert resolver.stats.resolutions_failed == 0
 
 
 class TestClientService:
