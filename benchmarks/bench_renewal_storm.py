@@ -10,8 +10,10 @@ four commitments:
 
 * **attribution** — the :class:`repro.obs.load.LoadLedger` must see the
   full query/renewal/notify/retransmit mix through the per-server
-  recorder hooks, and its ``peak_p99_server_load`` (the server's
-  fast-window rate-sketch p99) must be positive;
+  recorder hooks, and its ``peak_p99_server_load`` (the p99 of the
+  server's fast-window rate, bucket-interpolated over the ledger's
+  log-spaced histogram) must be positive and no higher than
+  ``peak_rate``, the highest rate that stream ever reached;
 * **storm detection** — the :class:`repro.obs.load.StormDetector` must
   flag at least one renewal-synchronization episode (the synchronized
   renewal burst and the notify fan-out each qualify);
@@ -215,6 +217,7 @@ def run_storm_bench(holders: int, min_events_per_sec: float,
         "peak_p99_server_load": round(0.0 if peak_p99 is None else peak_p99,
                                       3),
         "peak_rate": round(ledger.peak_rate(), 3),
+        "quantile_method": "log-bucket",
         "storm_episodes": len(episodes),
         "storm_peak_rates": [round(episode.peak_rate, 3)
                              for episode in episodes],
@@ -256,6 +259,10 @@ def check_record(record: dict) -> List[str]:
         failures.append("no storm episode detected (expected >= 1)")
     if record["peak_p99_server_load"] <= 0.0:
         failures.append("peak p99 server load not positive")
+    if record["peak_p99_server_load"] > record["peak_rate"]:
+        failures.append(
+            f"peak p99 server load {record['peak_p99_server_load']:,} "
+            f"above the peak rate {record['peak_rate']:,}")
     if record["acks_received"] < record["holders"]:
         failures.append(
             f"only {record['acks_received']:,} of {record['holders']:,} "

@@ -4,7 +4,7 @@ The fast replay engine's contract (DESIGN.md §7) is *bit-identical*
 results against the event-ordered oracle, which only holds because both
 sides accumulate ``lease_seconds`` with exactly-rounded, order-
 independent summation: ``math.fsum`` over a shared term list, or the
-Shewchuk-partials :class:`repro.sim.fastreplay.ExactSum`.  A bare
+Shewchuk-partials :class:`repro.exactsum.ExactSum`.  A bare
 ``sum()`` over floats — or a running ``total += term`` loop — reorders
 rounding error and silently breaks the oracle-equivalence property
 tests on the right (wrong) inputs.

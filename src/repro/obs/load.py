@@ -11,10 +11,16 @@ message-class)`` key, maintaining
   slow baseline (default 600 s); a rate is the decayed event mass
   divided by the window, so it tracks the *recent* arrival rate without
   storing any per-event state;
-* **fixed-memory streaming quantile sketches** — P² (Jain & Chlamtac
-  1985) marker sketches, five floats per tracked quantile, over the
-  per-server inter-arrival gaps, the in-flight notification depth, and
-  the per-arrival instantaneous rate.  Memory is O(servers + keys) and
+* **log-bucket quantile histograms** — one plain
+  :class:`~repro.obs.metrics.Histogram` each over the per-server
+  inter-arrival gaps, the in-flight notification depth, and the
+  per-arrival instantaneous rate, all sharing one log-spaced bound
+  tuple (:data:`LOAD_BUCKETS`, 16 buckets per decade from 1e-6 to
+  1e7).  An observation costs one ``bisect``; quantiles are read
+  through the shared :func:`~repro.obs.metrics.bucket_quantile`, the
+  estimator the columnar load twin (:mod:`repro.sim.columnar`) uses,
+  so each lies within a ratio of 10^(1/16) ≈ 1.155 of the exact one
+  and bucket counts merge losslessly.  Memory is O(servers + keys) and
   the key space itself is bounded by ``domain_cap`` (overflow domains
   fold into ``~other``), so a million-holder storm costs the same
   memory as a quiet afternoon;
@@ -46,12 +52,11 @@ Metric and event names are part of the PROTOCOL.md §9.5 contract.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from .metrics import Registry
+from .metrics import Histogram, Registry
 from .trace import (LEASE_GRANT, LEASE_RENEW, LOAD_STORM_END,
                     LOAD_STORM_START, NET_DELIVER, NOTIFY_RETRANSMIT,
                     NOTIFY_SEND, RENEGO_SEND, TraceBus, TraceEvent)
@@ -59,8 +64,8 @@ from .trace import (LEASE_GRANT, LEASE_RENEW, LOAD_STORM_END,
 __all__ = [
     "CLASS_DELIVER", "CLASS_NOTIFY", "CLASS_QUERY", "CLASS_RENEWAL",
     "CLASS_RETRANSMIT", "CLASS_TICK", "DecayedRate", "LoadKey",
-    "LoadLedger", "LoadRecorder", "OVERFLOW_DOMAIN", "P2Quantile",
-    "QuantileSketch", "StormDetector", "StormEpisode",
+    "LOAD_BUCKETS", "LoadLedger", "LoadRecorder", "OVERFLOW_DOMAIN",
+    "StormDetector", "StormEpisode",
 ]
 
 # -- message classes (the third attribution axis) -----------------------------
@@ -87,8 +92,15 @@ NO_DOMAIN = "-"
 #: One attribution key: (server, domain, message class).
 LoadKey = Tuple[str, str, str]
 
-#: The quantiles every sketch tracks, percent scale.
+#: The quantiles every sketch summary reports, percent scale.
 SKETCH_QUANTILES = (50.0, 95.0, 99.0)
+
+#: Bucket bounds of every per-server load histogram: log-spaced, 16 per
+#: decade from 1e-6 to 1e7 (209 bounds), so adjacent edges differ by a
+#: ratio of 10^(1/16) ≈ 1.155.  Values up to 1e-6 (e.g. the zero gap
+#: between simultaneous events) share the first bucket and read back
+#: within 1e-6 of their true value.  One tuple shared by every histogram.
+LOAD_BUCKETS = tuple(10.0 ** (k / 16.0) for k in range(-96, 113))
 
 
 class DecayedRate:
@@ -110,155 +122,41 @@ class DecayedRate:
         self.mass = 0.0
         self.last = -math.inf
 
-    def _decay(self, t: float) -> None:
-        if self.last == -math.inf:
-            self.last = t
-            return
-        dt = t - self.last
-        if dt > 0.0:
-            self.mass *= math.exp(-dt / self.tau)
-            self.last = t
-
     def add(self, t: float, amount: float = 1.0) -> float:
         """Decay to ``t``, add ``amount``, return the current rate."""
-        self._decay(t)
+        if self.last == -math.inf:
+            self.last = t
+        else:
+            dt = t - self.last
+            if dt > 0.0:
+                self.mass *= math.exp(-dt / self.tau)
+                self.last = t
         self.mass += amount
         return self.mass / self.tau
 
     def rate(self, t: float) -> float:
-        """The decayed arrival rate (events/s) as of ``t``."""
-        self._decay(t)
+        """The decayed arrival rate (events/s) as of ``t``.
+
+        A pure read: the stored mass is decayed on the fly, never in
+        place, so reading (a ``/metrics`` scrape, :meth:`LoadLedger.top`)
+        leaves every later rate bit-identical to an unread counter's.
+        """
+        dt = t - self.last
+        if dt > 0.0:
+            return self.mass * math.exp(-dt / self.tau) / self.tau
         return self.mass / self.tau
 
 
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac 1985).
-
-    Five markers — heights, actual positions, desired positions —
-    estimate one quantile of an unbounded stream in O(1) memory and
-    O(1) per observation, adjusting the middle markers with a piecewise
-    parabolic (hence P²) interpolation.  Until five observations have
-    arrived the estimate is the linear interpolation of the sorted
-    buffer.  Deterministic: same observation sequence, same estimate.
-    """
-
-    __slots__ = ("p", "heights", "positions", "desired", "count")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1): {p}")
-        self.p = p
-        self.heights: List[float] = []
-        self.positions: List[float] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired: List[float] = [
-            1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the sketch."""
-        self.count += 1
-        if self.count <= 5:
-            bisect.insort(self.heights, value)
-            return
-        heights, positions, desired = self.heights, self.positions, self.desired
-        # Locate the cell, extending the extreme markers when needed.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        increments = (0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0)
-        for index in range(5):
-            desired[index] += increments[index]
-        # Adjust the three interior markers toward their desired ranks.
-        for index in range(1, 4):
-            drift = desired[index] - positions[index]
-            ahead = positions[index + 1] - positions[index]
-            behind = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and ahead > 1.0) or (drift <= -1.0
-                                                  and behind < -1.0):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-        self.heights = heights
-
-    def _parabolic(self, index: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        return h[index] + step / (n[index + 1] - n[index - 1]) * (
-            (n[index] - n[index - 1] + step)
-            * (h[index + 1] - h[index]) / (n[index + 1] - n[index])
-            + (n[index + 1] - n[index] - step)
-            * (h[index] - h[index - 1]) / (n[index] - n[index - 1]))
-
-    def _linear(self, index: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        other = index + int(step)
-        return h[index] + step * (h[other] - h[index]) / (n[other] - n[index])
-
-    def value(self) -> Optional[float]:
-        """The current estimate, or None before any observation."""
-        if not self.count:
-            return None
-        if self.count <= 5:
-            rank = self.p * (len(self.heights) - 1)
-            low = int(math.floor(rank))
-            high = min(low + 1, len(self.heights) - 1)
-            return (self.heights[low]
-                    + (rank - low) * (self.heights[high] - self.heights[low]))
-        return self.heights[2]
-
-
-class QuantileSketch:
-    """A bundle of :class:`P2Quantile` markers plus count/min/max.
-
-    Fixed memory: five floats per tracked quantile, regardless of how
-    many observations stream through.
-    """
-
-    __slots__ = ("count", "min", "max", "_markers")
-
-    def __init__(self,
-                 quantiles: Tuple[float, ...] = SKETCH_QUANTILES) -> None:
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
-        self._markers: Dict[float, P2Quantile] = {
-            q: P2Quantile(q / 100.0) for q in quantiles}
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into every marker set."""
-        self.count += 1
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for marker in self._markers.values():
-            marker.observe(value)
-
-    def quantile(self, quantile: float) -> Optional[float]:
-        """The estimate for a tracked quantile (percent scale)."""
-        return self._markers[quantile].value()
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        """``{"count": ..., "min": ..., "max": ..., "p50": ...}``."""
-        summary: Dict[str, Optional[float]] = {
-            "count": float(self.count),
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-        for q in sorted(self._markers):
-            summary[f"p{q:g}"] = self._markers[q].value()
-        return summary
+def _sketch_summary(sketch: Histogram) -> Dict[str, Optional[float]]:
+    """``{"count": ..., "min": ..., "max": ..., "p50": ...}``."""
+    summary: Dict[str, Optional[float]] = {
+        "count": float(sketch.count),
+        "min": sketch.min if sketch.count else None,
+        "max": sketch.max if sketch.count else None,
+    }
+    for q in SKETCH_QUANTILES:
+        summary[f"p{q:g}"] = sketch.quantile(q)
+    return summary
 
 
 @dataclasses.dataclass
@@ -396,10 +294,15 @@ class _ServerLoad:
         self.fast = DecayedRate(window)
         self.slow = DecayedRate(baseline)
         self.last = -math.inf
-        self.gap_sketch = QuantileSketch()
-        self.depth_sketch = QuantileSketch()
-        self.rate_sketch = QuantileSketch()
+        self.gap_sketch = Histogram("load.gap", LOAD_BUCKETS)
+        self.depth_sketch = Histogram("load.depth", LOAD_BUCKETS)
+        self.rate_sketch = Histogram("load.rate", LOAD_BUCKETS)
         self.peak_rate = 0.0
+
+    def sketch(self, name: str) -> Histogram:
+        """The ``rate``, ``gap`` or ``depth`` histogram."""
+        return {"rate": self.rate_sketch, "gap": self.gap_sketch,
+                "depth": self.depth_sketch}[name]
 
     def record(self, message_class: str, t: float,
                depth: Optional[float]) -> Tuple[float, float]:
@@ -562,9 +465,7 @@ class LoadLedger:
         load = self.servers.get(server)
         if load is None:
             return None
-        sketches = {"rate": load.rate_sketch, "gap": load.gap_sketch,
-                    "depth": load.depth_sketch}
-        return sketches[sketch].quantile(quantile)
+        return load.sketch(sketch).quantile(quantile)
 
     def top(self, n: int = 10) -> List[Dict[str, object]]:
         """The ``n`` hottest keys by total count (ties: key order)."""
@@ -586,9 +487,9 @@ class LoadLedger:
                 "rate": load.fast.rate(self.last),
                 "baseline": load.slow.rate(self.last),
                 "peak_rate": load.peak_rate,
-                "gap": load.gap_sketch.as_dict(),
-                "depth": load.depth_sketch.as_dict(),
-                "rate_quantiles": load.rate_sketch.as_dict(),
+                "gap": _sketch_summary(load.gap_sketch),
+                "depth": _sketch_summary(load.depth_sketch),
+                "rate_quantiles": _sketch_summary(load.rate_sketch),
             }
         return {
             "total": self.total,
@@ -619,10 +520,7 @@ class LoadLedger:
                             ) -> float:
             best = 0.0
             for server in self.servers.values():
-                sketches = {"rate": server.rate_sketch,
-                            "gap": server.gap_sketch,
-                            "depth": server.depth_sketch}
-                value = sketches[sketch_name].quantile(quantile)
+                value = server.sketch(sketch_name).quantile(quantile)
                 if value is not None and value > best:
                     best = value
             return best

@@ -19,6 +19,8 @@ import math
 from typing import (Callable, Dict, List, Optional, Sequence, TextIO, Tuple,
                     Union)
 
+from ..exactsum import ExactSum
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -69,30 +71,6 @@ LEASE_BUCKETS = (60.0, 200.0, 600.0, 3600.0, 6000.0, 21600.0,
                  86400.0, 259200.0, 518400.0)
 
 
-def _fold_exact(partials: List[float], value: float) -> None:
-    """Fold ``value`` into a Shewchuk non-overlapping partials list.
-
-    After the fold the partials still represent the true sum exactly,
-    so ``math.fsum(partials)`` is the correctly rounded total no matter
-    how many folds happened or in what grouping — the property that
-    makes shard-merged histogram sums byte-identical at any shard
-    count.  (Same algorithm as ``repro.sim.fastreplay.ExactSum``;
-    re-implemented here because ``obs`` must not import ``sim``.)
-    """
-    x = value
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 class Histogram:
     """Fixed-bucket histogram with exact sum/count/min/max.
 
@@ -120,17 +98,19 @@ class Histogram:
             raise ValueError(f"histogram buckets must strictly increase: "
                              f"{buckets}")
         self.name = name
-        self.bounds = bounds
+        #: A tuple of floats is shared, not copied: many histograms
+        #: over one bucket constant hold one bounds object.
+        self.bounds = buckets if isinstance(buckets, tuple) \
+            and all(type(b) is float for b in buckets) else bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: Non-overlapping partials representing ``sum`` exactly while
-        #: the histogram has only ever been filled through
-        #: :meth:`add_exact`/:meth:`merge`; None once :meth:`observe`
-        #: put it on the running-float path.
-        self._partials: Optional[List[float]] = []
+        #: The exact running ``sum`` while the histogram has only ever
+        #: been filled through :meth:`add_exact`/:meth:`merge`; None
+        #: once :meth:`observe` put it on the running-float path.
+        self._partials: Optional[ExactSum] = ExactSum()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -170,9 +150,8 @@ class Histogram:
             added += amount
         self.count += added
         if self._partials is not None:
-            for part in partials:
-                _fold_exact(self._partials, part)
-            self.sum = math.fsum(self._partials)
+            self._partials.add_all(partials)
+            self.sum = self._partials.value()
         else:
             self.sum += math.fsum(partials)
         if minimum is not None and minimum < self.min:
@@ -196,9 +175,8 @@ class Histogram:
             self.counts[index] += amount
         self.count += other.count
         if self._partials is not None and other._partials is not None:
-            for part in other._partials:
-                _fold_exact(self._partials, part)
-            self.sum = math.fsum(self._partials)
+            self._partials.add_all(other._partials.partials())
+            self.sum = self._partials.value()
         else:
             self._partials = None
             self.sum += other.sum

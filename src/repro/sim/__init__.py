@@ -23,8 +23,8 @@ from .columnar import (
     scan_metric_table,
     flash_crowd_columnar,
 )
+from ..exactsum import ExactSum
 from .fastreplay import (
-    ExactSum,
     PairIndex,
     fast_dynamic_sweep,
     fast_lease_replay,

@@ -43,9 +43,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dnslib import Name
+from ..exactsum import ExactSum
 from ..obs.metrics import LEASE_BUCKETS
 from ..traces.workload import QueryEvent
-from .fastreplay import ExactSum
 from .metrics import LeaseSimResult
 
 #: A pair is (domain name, nameserver index) — record × cache.
@@ -360,7 +360,7 @@ def columnar_scan(trace: ColumnarTrace, lengths: np.ndarray,
     its query count, no terms).  Returns ``(upstream per pair, grant
     terms, term pair ids)``; the terms are the oracle's exact per-grant
     floats, in engine order — reduce them with ``math.fsum`` or
-    :class:`~repro.sim.fastreplay.ExactSum`, never bare accumulation.
+    :class:`~repro.exactsum.ExactSum`, never bare accumulation.
     """
     return scan_arrays(trace.times, trace.starts, trace.sorted_mask,
                        lengths, duration)

@@ -20,7 +20,7 @@ terms never reference another pair.  This module supplies that layer:
 
 **The merge is exact, so shard count cannot change a single bit.**
 Integer counters add associatively; ``lease_seconds`` is carried as
-Shewchuk partials (:meth:`~repro.sim.fastreplay.ExactSum.partials`),
+Shewchuk partials (:meth:`~repro.exactsum.ExactSum.partials`),
 an *exact* representation of each shard's term sum, and folding all
 shards' partials into one accumulator before rounding once yields the
 identical float a single-shard run computes.  The shard-invariance
@@ -38,10 +38,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dnslib import Name
+from ..exactsum import ExactSum
 from ..obs.metrics import Registry
 from .columnar import (ColumnarTrace, MetricTable, dynamic_sweep_table,
                        load_metric_table, replay_table, scan_metric_table)
-from .fastreplay import ExactSum
 from .metrics import LeaseSimResult
 
 #: One worker payload: everything a shard needs to run the full sweep.

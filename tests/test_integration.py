@@ -180,9 +180,12 @@ class TestTestbedCpuParity:
         and without the middleware and compare per-query CPU time."""
         import time
 
-        def time_queries(dnscup_enabled):
+        def warmed(dnscup_enabled):
             testbed = Testbed(TestbedConfig(dnscup_enabled=dnscup_enabled))
             testbed.lookup_all(0)  # warm caches and code paths
+            return testbed
+
+        def time_queries(testbed):
             start = time.perf_counter()
             for _ in range(3):
                 for cache in testbed.caches:
@@ -190,7 +193,12 @@ class TestTestbedCpuParity:
                 testbed.lookup_all(0)
             return time.perf_counter() - start
 
-        with_cup = time_queries(True)
-        without = time_queries(False)
+        with_cup, without = warmed(True), warmed(False)
+        with_times, without_times = [], []
+        # Alternate the sides and keep each side's fastest repeat, so a
+        # host stall during one region cannot decide the comparison.
+        for _ in range(5):
+            with_times.append(time_queries(with_cup))
+            without_times.append(time_queries(without))
         # "Hardly noticeable": within 3x under noisy CI timing.
-        assert with_cup < 3.0 * without
+        assert min(with_times) < 3.0 * min(without_times)

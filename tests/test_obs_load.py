@@ -25,9 +25,8 @@ from repro.obs.load import (
     CLASS_RENEWAL,
     CLASS_RETRANSMIT,
     DecayedRate,
+    LOAD_BUCKETS,
     OVERFLOW_DOMAIN,
-    P2Quantile,
-    QuantileSketch,
 )
 
 
@@ -60,48 +59,54 @@ class TestDecayedRate:
             DecayedRate(0.0)
 
 
-class TestP2Quantile:
-    def test_small_streams_interpolate_sorted_buffer(self):
-        sketch = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sketch.observe(v)
-        assert sketch.value() == pytest.approx(2.0)
-
-    def test_tracks_numpy_percentile_on_uniform_stream(self):
-        rng = random.Random(2006)
-        values = [rng.random() for _ in range(20000)]
-        for p in (0.5, 0.95, 0.99):
-            sketch = P2Quantile(p)
-            for v in values:
-                sketch.observe(v)
-            # Uniform[0, 1): the true quantile is p itself.
-            assert sketch.value() == pytest.approx(p, abs=0.02)
-
-    def test_deterministic_for_same_stream(self):
-        values = [math.sin(i) ** 2 for i in range(1000)]
-        a, b = P2Quantile(0.9), P2Quantile(0.9)
-        for v in values:
-            a.observe(v)
-            b.observe(v)
-        assert a.value() == b.value()
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+def _stream(kind, n=20000, seed=2006):
+    rng = random.Random(seed)
+    draw = {"uniform": rng.random,
+            "lognormal": lambda: rng.lognormvariate(0.0, 1.5),
+            "exponential": lambda: rng.expovariate(0.25)}[kind]
+    return [draw() for _ in range(n)]
 
 
-class TestQuantileSketch:
-    def test_as_dict_shape(self):
-        sketch = QuantileSketch()
-        assert sketch.as_dict()["count"] == 0.0
-        assert sketch.as_dict()["min"] is None
-        for v in (1.0, 2.0, 3.0):
-            sketch.observe(v)
-        summary = sketch.as_dict()
-        assert summary["count"] == 3.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-        assert set(summary) == {"count", "min", "max", "p50", "p95", "p99"}
+#: Adjacent LOAD_BUCKETS edges differ by this ratio (plus float slack).
+BUCKET_RATIO = 10.0 ** (1.0 / 16.0) * (1.0 + 1e-12)
+
+
+class TestLoadBucketSketch:
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal", "exponential"])
+    def test_quantiles_within_bucket_ratio(self, kind):
+        values = _stream(kind)
+        ledger = LoadLedger()
+        for i, value in enumerate(values):
+            ledger.record("s", "a.com", CLASS_NOTIFY, i * 0.01, depth=value)
+        ordered = sorted(values)
+        for quantile in (50.0, 95.0, 99.0):
+            # Nearest-rank exact quantile: the estimate interpolates
+            # inside the bucket holding it.
+            exact = ordered[math.ceil(quantile / 100.0 * len(values)) - 1]
+            estimate = ledger.server_quantile("s", quantile, "depth")
+            assert exact / BUCKET_RATIO <= estimate <= exact * BUCKET_RATIO
+
+    def test_snapshot_summary_keeps_key_set(self):
+        ledger = LoadLedger()
+        ledger.record("s", "a.com", CLASS_QUERY, 0.0)
+        server = ledger.snapshot()["servers"]["s"]
+        keys = {"count", "min", "max", "p50", "p95", "p99"}
+        for sketch in ("gap", "depth", "rate_quantiles"):
+            assert set(server[sketch]) == keys
+        # No depth sample and no gap yet: empty summaries read None.
+        assert server["depth"] == {"count": 0.0, "min": None, "max": None,
+                                   "p50": None, "p95": None, "p99": None}
+        assert server["rate_quantiles"]["count"] == 1.0
+
+    def test_all_sketches_share_one_bounds_object(self):
+        ledger = LoadLedger()
+        for server in ("s1", "s2"):
+            ledger.record(server, "a.com", CLASS_QUERY, 0.0, depth=1.0)
+        for load in ledger.servers.values():
+            for sketch in ("rate", "gap", "depth"):
+                assert load.sketch(sketch).bounds is LOAD_BUCKETS
+        assert len(LOAD_BUCKETS) == 209
+        assert LOAD_BUCKETS[0] == 1e-6 and LOAD_BUCKETS[-1] == 1e7
 
 
 class TestStormDetector:
@@ -219,6 +224,29 @@ class TestLoadLedger:
         assert ledger.detector.active_count == 1
         assert bus.counts()[LOAD_STORM_START] == 1
 
+    def test_reading_does_not_change_the_ledger(self):
+        # Every reader, between every record, against an unread twin.
+        rng = random.Random(9)
+        scraped, quiet = LoadLedger(), LoadLedger()
+        registry = Registry()
+        scraped.bind_registry(registry)
+        t = 0.0
+        for i in range(300):
+            t += rng.expovariate(5.0)
+            server = f"s{i % 3}"
+            for ledger in (scraped, quiet):
+                ledger.record(server, "a.com", CLASS_RENEWAL, t,
+                              depth=float(i % 5))
+            if i % 7 == 0:
+                registry.snapshot()
+                scraped.rate()
+                scraped.rate(t + 30.0)
+                scraped.top()
+                scraped.snapshot()
+                scraped.server_quantile(server, 99.0, "rate")
+        assert scraped.snapshot() == quiet.snapshot()
+        assert scraped.peak_rate() == quiet.peak_rate()
+
     def test_rejects_baseline_not_exceeding_window(self):
         with pytest.raises(ValueError):
             LoadLedger(window=10.0, baseline=10.0)
@@ -236,9 +264,10 @@ class TestLoadLedger:
                      "load.storm.active", "load.storm.episodes"):
             assert name in gauges
         assert gauges["load.events"] == 2.0
-        # Two depth samples (3.0, 4.0): the small-stream linear
-        # interpolation puts p99 at 3.0 + 0.99 * (4.0 - 3.0).
-        assert gauges["load.depth_p99"] == pytest.approx(3.99)
+        # Two depth samples (3.0, 4.0): rank 0.99 * 2 = 1.98 lands 98%
+        # into 4.0's bucket (10^(9/16), 10^(10/16)] = (3.652, 4.217],
+        # i.e. at 4.206, which the observed maximum clamps to 4.0.
+        assert gauges["load.depth_p99"] == 4.0
         assert gauges["load.storm.active"] == 0.0
 
 
