@@ -42,7 +42,6 @@ EXACT_ROUNDING_FILES = (
     ("sim", "fastreplay.py"),
     ("sim", "columnar.py"),
     ("sim", "shard.py"),
-    ("core", "leasearray.py"),
 )
 #: DCUP009 scope: the asyncio transport plus the live testbed shim —
 #: the only places where code runs *inside* coroutines on the loop.

@@ -12,15 +12,10 @@ hash, which vary across processes): equal-timestamp events fire in
 schedule order on any machine, in any process — the property the
 sharded simulation relies on for byte-stable merges.
 
-Two queue backends implement the same (time, seq) contract:
-
-* ``"wheel"`` (default) — the hierarchical timer wheel
-  (:class:`~repro.net.timerwheel.HierarchicalTimerWheel`): O(1)
-  schedule *and* cancel, no tombstone accumulation under the
-  schedule/cancel churn of per-lease renewal timers;
-* ``"heap"`` — the classic binary heap, kept as the reference backend
-  (``tests/test_timerwheel.py`` holds the two to identical fire
-  sequences by property test).
+The queue is a binary heap of ``(time, seq, handle)`` tuples driven by
+:mod:`heapq` directly.  Cancelling is O(1): the handle is marked and
+its entry stays in the heap until it is popped past, so the heap may
+hold more entries than :attr:`Simulator.pending` reports.
 """
 
 from __future__ import annotations
@@ -28,8 +23,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
-
-from .timerwheel import HierarchicalTimerWheel
 
 
 class EventHandle:
@@ -40,11 +33,11 @@ class EventHandle:
     events remain, the way daemon threads don't block process exit.
 
     ``seq`` is the schedule-time monotonic sequence number; the queue
-    backends order events by ``(time, seq)`` and nothing else.
+    orders events by ``(time, seq)`` and nothing else.
     """
 
     __slots__ = ("time", "seq", "daemon", "_callback", "_cancelled",
-                 "_simulator")
+                 "_fired", "_simulator")
 
     def __init__(self, time: float, seq: int, callback: Callable[[], None],
                  simulator: "Simulator", daemon: bool = False):
@@ -53,24 +46,27 @@ class EventHandle:
         self.daemon = daemon
         self._callback = callback
         self._cancelled = False
+        self._fired = False
         self._simulator = simulator
 
     def cancel(self) -> None:
-        """Prevent the event from firing; cancelling twice is harmless."""
-        if not self._cancelled:
-            self._cancelled = True
-            self._callback = _noop
-            self._simulator._live_pending -= 1
-            if not self.daemon:
-                self._simulator._nondaemon_pending -= 1
+        """Prevent the event from firing.
+
+        Cancelling twice, or cancelling an event that already fired, is
+        harmless: the pending counters only move for a live event.
+        """
+        if self._cancelled or self._fired:
+            return
+        self._cancelled = True
+        self._callback = _noop
+        self._simulator._live_pending -= 1
+        if not self.daemon:
+            self._simulator._nondaemon_pending -= 1
 
     @property
     def cancelled(self) -> bool:
         """True once cancelled."""
         return self._cancelled
-
-    def _fire(self) -> None:
-        self._callback()
 
 
 def _noop() -> None:
@@ -81,44 +77,12 @@ class SimulationError(RuntimeError):
     """Raised on simulator misuse (scheduling into the past, etc.)."""
 
 
-class _HeapQueue:
-    """The reference event queue: a binary heap of (time, seq, handle).
-
-    Cancelled events stay in the heap as tombstones until popped past.
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self, start_time: float):
-        self._queue: List[Tuple[float, int, EventHandle]] = []
-
-    def push(self, handle: EventHandle) -> None:
-        heapq.heappush(self._queue, (handle.time, handle.seq, handle))
-
-    def pop(self) -> Optional[EventHandle]:
-        while self._queue:
-            _time, _seq, handle = heapq.heappop(self._queue)
-            if not handle.cancelled:
-                return handle
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
-
-
 class Simulator:
-    """Event loop with virtual time in seconds and a pluggable queue."""
+    """Event loop with virtual time in seconds over one binary heap."""
 
-    def __init__(self, start_time: float = 0.0, queue: str = "wheel"):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        if queue == "wheel":
-            self._queue: object = HierarchicalTimerWheel(self._now)
-        elif queue == "heap":
-            self._queue = _HeapQueue(self._now)
-        else:
-            raise ValueError(f"unknown queue backend: {queue!r}")
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self.events_processed = 0
         self._nondaemon_pending = 0
@@ -151,7 +115,7 @@ class Simulator:
         self._live_pending += 1
         if not daemon:
             self._nondaemon_pending += 1
-        self._queue.push(handle)
+        heapq.heappush(self._queue, (time, handle.seq, handle))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], None],
@@ -169,15 +133,20 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
-        handle = self._queue.pop()
-        if handle is None:
-            return False
+        queue = self._queue
+        while True:
+            if not queue:
+                return False
+            handle = heapq.heappop(queue)[2]
+            if not handle._cancelled:
+                break
+        handle._fired = True
         self._now = handle.time
         self.events_processed += 1
         self._live_pending -= 1
         if not handle.daemon:
             self._nondaemon_pending -= 1
-        handle._fire()
+        handle._callback()
         if self.load_ledger is not None:
             self.load_ledger.record("simulator", "-", "tick", handle.time,
                                     depth=self._live_pending)
@@ -194,10 +163,10 @@ class Simulator:
         keep a simulation alive forever.
         """
         fired = 0
-        while self._nondaemon_pending > 0 and self.step():
+        while (self._nondaemon_pending > 0
+               and (max_events is None or fired < max_events)
+               and self.step()):
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         return fired
 
     def run_until(self, time: float) -> int:
@@ -206,7 +175,7 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to {time}")
         fired = 0
         while True:
-            next_time = self._queue.peek_time()
+            next_time = self._peek_time()
             if next_time is None or next_time > time:
                 break
             if self.step():
@@ -219,7 +188,11 @@ class Simulator:
         return self.run_until(self._now + duration)
 
     def _peek_time(self) -> Optional[float]:
-        return self._queue.peek_time()
+        """Time of the next live event, dropping cancelled heads."""
+        queue = self._queue
+        while queue and queue[0][2]._cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     @property
     def pending(self) -> int:

@@ -20,25 +20,30 @@ by the time the verdict arrives the run is over.
   auditor would flag them on the same prefix.
 
 Memory stays bounded by the *in-flight* protocol state, not the trace
-length: once a change span settles and every leg has resolved, the
-span is retired — its heavy per-leg state is dropped and only a small
-per-seq residue (settle index, counters) survives to classify late
-duplicates the same way the batch auditor does.  The peak number of
-tracked spans (unretired changes + live leases + unresolved untracked
-legs) is exposed as :attr:`IncrementalAuditor.peak_tracked_spans` and
-asserted against documented bounds in the benches.
+length: once a change span was detected, settled and every leg has
+resolved, the span is retired — its heavy per-leg state is dropped and
+only a small per-seq residue (settle index, counters, the verdict its
+retirement issued) survives to classify late events the same way the
+batch auditor does.  The peak number of tracked spans (unretired
+changes + live leases + unresolved untracked legs) is exposed as
+:attr:`IncrementalAuditor.peak_tracked_spans` and asserted against
+documented bounds in the benches.
 
 Equivalence contract (property-tested in
 ``tests/test_obs_streaming.py`` and asserted bit-for-bit in
-``benchmarks/bench_streaming_audit.py``): on every prefix of a
-*prefix-complete* trace, :meth:`report` yields the same
+``benchmarks/bench_streaming_audit.py``): on every prefix of any
+trace, :meth:`report` yields the same
 :class:`~repro.obs.audit.Violation` multiset, check counts, and event
-totals as ``audit_trace`` over that prefix.  Prefix-complete means no
-``notify.send`` for a seq arrives after that seq's ``change.settled``
-has been observed with every earlier leg already resolved — true of
-every trace the instrumentation emits, because the notification
-module settles a change only once all its legs resolved and a new
-change to the same record gets a fresh seq.
+totals as ``audit_trace`` over that prefix.  Retirement verdicts are
+issued as permanent on the assumption that the trace is
+*prefix-complete*: no ``notify.send`` for a seq arrives after that
+seq's change retired — true of every trace the instrumentation emits,
+because the notification module settles a change only once all its
+legs resolved and a new change to the same record gets a fresh seq.
+A late send that breaks the assumption reopens the change and
+withdraws the violations its retirement issued, so the report stays
+exact; they were already returned by :meth:`IncrementalAuditor.feed`,
+and ``window_hist`` keeps the window observed at the first retirement.
 
 Both auditors build violations through the shared constructors in
 :mod:`repro.obs.audit`, so messages and evidence tuples agree by
@@ -145,7 +150,7 @@ class _Change:
     pre_detect_caches: Optional[Set[str]] = \
         dataclasses.field(default_factory=set)
     #: holder cache -> grant_index still owed a notify.send
-    #: (None before the detect event and after retirement).
+    #: (None before the detect event).
     pending_holders: Optional[Dict[str, int]] = None
     #: ``(send_index, ack_index, ack_t, cache)`` for acks that landed
     #: before the detect event — their staleness check needs
@@ -161,6 +166,11 @@ class _Change:
     settled_acked: Optional[int] = None
     settled_failed: Optional[int] = None
     retired: bool = False
+    #: Violations the last retirement made permanent (withdrawn if a
+    #: late send reopens the change).
+    retirement_verdict: List[Violation] = \
+        dataclasses.field(default_factory=list)
+    window_observed: bool = False
 
 
 @dataclasses.dataclass
@@ -218,6 +228,8 @@ class IncrementalAuditor:
         self.limits = limits or AuditLimits()
         self.window_hist = window_hist
         self._permanent: List[Violation] = []
+        #: Permanent violations withdrawn by the event being fed.
+        self._withdrawn = 0
         self._checks: Dict[str, int] = {}
         self._pending_checks: Dict[str, int] = {}
         self._events = 0
@@ -254,6 +266,7 @@ class IncrementalAuditor:
     def feed(self, event: TraceEvent) -> List[Violation]:
         """Consume one trace event; return newly-permanent violations."""
         before = len(self._permanent)
+        self._withdrawn = 0
         t, name, fields = event
         index = self._events
         self._events += 1
@@ -276,14 +289,14 @@ class IncrementalAuditor:
         tracked = self.tracked_spans
         if tracked > self.peak_tracked_spans:
             self.peak_tracked_spans = tracked
-        return self._permanent[before:]
+        return self._permanent[before - self._withdrawn:]
 
     def feed_many(self, events: Iterable[TraceEvent]) -> List[Violation]:
         """Consume events in order; return newly-permanent violations."""
-        before = len(self._permanent)
+        fresh: List[Violation] = []
         for event in events:
-            self.feed(event)
-        return self._permanent[before:]
+            fresh.extend(self.feed(event))
+        return fresh
 
     def pending_violations(self) -> List[Violation]:
         """Obligations still open on the prefix seen so far.
@@ -422,6 +435,7 @@ class IncrementalAuditor:
                         seq, cache, ack_t, send_index, ack_index,
                         staleness, self.limits.max_staleness))
         change.pre_detect_acks = []
+        self._maybe_retire(change)
 
     def _on_send(self, index: int, t: float,
                  fields: Dict[str, object]) -> None:
@@ -435,9 +449,10 @@ class IncrementalAuditor:
             self._untracked.append(leg)
             return
         change = self._change_for(seq)
+        if change.retired:
+            self._reopen(change)
         change.unresolved.append(leg)
-        if not change.retired:
-            change.send_indices.append(index)
+        change.send_indices.append(index)
         if change.pre_detect_caches is not None:
             change.pre_detect_caches.add(leg.cache)
         elif change.pending_holders:
@@ -497,7 +512,7 @@ class IncrementalAuditor:
                     self._permanent.append(stale_holder_violation(
                         leg.seq, leg.cache, t, leg.send_index, index,
                         staleness, self.limits.max_staleness))
-            elif not change.retired:
+            else:
                 change.pre_detect_acks.append(
                     (leg.send_index, index, t, leg.cache))
         if change.settled_index is not None:
@@ -585,30 +600,43 @@ class IncrementalAuditor:
         return out
 
     def _maybe_retire(self, change: _Change) -> None:
-        """Fold a settled, fully-resolved span into permanent state."""
+        """Fold a detected, settled, fully-resolved span into permanent
+        state.  An undetected span stays open: its settle-window and
+        per-ack staleness verdicts hinge on the detect time."""
         if change.retired or change.settled_index is None \
-                or change.unresolved:
+                or change.unresolved or change.detected_index is None:
             return
-        self._permanent.extend(
-            self._settlement_violations(change, pending=False))
+        verdict = self._settlement_violations(change, pending=False)
         if change.pending_holders:
             detected_index = change.detected_index
             assert detected_index is not None
             for cache, grant_index in change.pending_holders.items():
-                self._permanent.append(unnotified_holder_violation(
+                verdict.append(unnotified_holder_violation(
                     change.seq, change.detected_t, detected_index,
                     grant_index, cache, change.name, change.rrtype))
+        self._permanent.extend(verdict)
         window_hist = self.window_hist
-        if window_hist is not None:
+        if window_hist is not None and not change.window_observed:
             if change.detected_t is not None \
                     and change.ack_max is not None:
                 window_hist.observe(change.ack_max - change.detected_t)
+            change.window_observed = True
         change.retired = True
-        change.pending_holders = None
-        change.pre_detect_caches = None
+        change.retirement_verdict = verdict
         change.send_indices = []
-        change.pre_detect_acks = []
         self._open_changes -= 1
+
+    def _reopen(self, change: _Change) -> None:
+        """Undo a retirement that a late ``notify.send`` proved early."""
+        withdrawn = {id(v) for v in change.retirement_verdict}
+        if withdrawn:
+            self._permanent = [v for v in self._permanent
+                               if id(v) not in withdrawn]
+            self._withdrawn += len(withdrawn)
+        self._checks[STALENESS] -= 1
+        change.retirement_verdict = []
+        change.retired = False
+        self._open_changes += 1
 
     # -- lease + budget events -----------------------------------------------
 

@@ -13,6 +13,11 @@ import textwrap
 import pytest
 
 from repro.analysis import lint_paths, render_json
+from repro.analysis.linter import (
+    ASYNC_BLOCKING_FILES,
+    EXACT_ROUNDING_FILES,
+    ZERO_COST_FILES,
+)
 from repro.obs.trace import EVENT_NAMES
 from repro.tools import lint_tool
 
@@ -188,6 +193,14 @@ class TestOutputs:
 class TestSelfApplication:
     def test_repo_source_tree_lints_clean(self):
         assert lint_paths([SRC / "repro"]) == []
+
+    @pytest.mark.parametrize(
+        "subsystem,filename",
+        ZERO_COST_FILES + EXACT_ROUNDING_FILES + ASYNC_BLOCKING_FILES)
+    def test_file_scope_entries_name_existing_modules(self, subsystem,
+                                                      filename):
+        # A stale entry would silently scope its rule to nothing.
+        assert (SRC / "repro" / subsystem / filename).is_file()
 
 
 @pytest.mark.parametrize("bad_name", ["DCUP1", "XCUP001", "dcup001"])

@@ -1,36 +1,29 @@
-"""The columnar lease table against the dict-backed reference.
+"""More :class:`repro.core.LeaseTable` contract scenarios.
 
-:class:`repro.core.ArrayLeaseTable` is a drop-in behind the
-:class:`repro.core.LeaseTable` API; these tests hold the two
-implementations to *observable equivalence* — same grant/renew/expire
-transitions, same capacity refusals, same stats, same query results —
-on both hand-written scenarios and Hypothesis-generated operation
-sequences.  The one declared difference (returned leases are snapshots,
-not live views) gets its own regression test.
+Renewal in place, re-grant after expiry, revocation, capacity refusal
+until the incumbent expires, per-cache queries, no duplicate holder
+after a sweep and re-grant, and the track file.
+``tests/test_core_lease.py`` and the ``LeaseTableMachine`` in
+``tests/test_stateful.py`` hold the rest of the contract.
 """
 
-import dataclasses
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import ArrayLeaseTable, LeaseTable, save_track_file
+from repro.core import LeaseTable, save_track_file
 from repro.core.middleware import DNScupConfig
 from repro.dnslib import Name, RRType
 
 CACHE_A = ("10.2.0.1", 53)
 CACHE_B = ("10.2.0.2", 53)
-CACHES = [(f"10.2.0.{i}", 53) for i in range(1, 5)]
-NAMES = ["w.x.com", "y.x.com", "z.x.com"]
 
 
 @pytest.fixture
 def table():
-    return ArrayLeaseTable()
+    return LeaseTable()
 
 
 class TestDropInBehaviour:
-    """The LeaseTable unit contract, replayed on the array table."""
+    """The LeaseTable unit contract, second set of scenarios."""
 
     def test_grant_and_holders(self, table):
         table.grant(CACHE_A, "w.x.com", RRType.A, now=0.0, length=100.0)
@@ -47,7 +40,6 @@ class TestDropInBehaviour:
         assert len(table) == 1
         assert table.stats.renewals == 1
         assert table.get(CACHE_A, "w.x.com", RRType.A).expires_at == 150.0
-        assert table.column_stats()["slots"] == 1
 
     def test_regrant_after_expiry_counts_as_grant(self, table):
         table.grant(CACHE_A, "w.x.com", RRType.A, now=0.0, length=10.0)
@@ -62,15 +54,18 @@ class TestDropInBehaviour:
         table.grant(CACHE_B, "y.x.com", RRType.A, now=0.0, length=100.0)
         assert table.revoke(CACHE_A, "w.x.com", RRType.A)
         assert not table.revoke(CACHE_A, "w.x.com", RRType.A)
-        assert table.column_stats()["free"] == 1
-        # The freed slot is reused: the columns do not grow.
+        assert len(table) == 1
+        # A revoked lease leaves nothing behind: a new grant takes its
+        # place and the table holds exactly the two live leases.
         table.grant(CACHE_A, "z.x.com", RRType.A, now=1.0, length=50.0)
-        assert table.column_stats() == {
-            "slots": 2, "free": 0, "active": 2,
-            "records_interned": 3, "caches_interned": 2}
+        assert len(table) == 2
+        assert table.stats.revocations == 1
+        assert set(table.tracked_records()) == {
+            (Name.from_text("y.x.com"), RRType.A),
+            (Name.from_text("z.x.com"), RRType.A)}
 
     def test_capacity_refusal_after_sweep(self):
-        table = ArrayLeaseTable(capacity=1)
+        table = LeaseTable(capacity=1)
         assert table.grant(CACHE_A, "w.x.com", RRType.A, 0.0, 10.0)
         # Full, and the incumbent is still valid: refused.
         assert table.grant(CACHE_B, "w.x.com", RRType.A, 5.0, 10.0) is None
@@ -91,13 +86,10 @@ class TestDropInBehaviour:
         assert table.active_count() == 3
 
     def test_no_duplicate_postings_after_slot_reuse(self, table):
-        """A slot swept and re-granted to the same key must appear once.
+        """A lease swept and re-granted to the same key appears once.
 
-        _release leaves the slot in the posting lists; re-allocating it
-        to the same (record, cache) pair appends it again, and both
-        entries pass the occupancy check.  holders()/leases_of() must
-        still report the lease exactly once (regression: duplicate
-        CACHE-UPDATE notifications from the array backend).
+        holders()/leases_of() must report it exactly once; a duplicate
+        would send the cache two CACHE-UPDATEs for one change.
         """
         table.grant(CACHE_A, "w.x.com", RRType.A, now=0.0, length=10.0)
         assert table.sweep(now=20.0) == 1
@@ -106,7 +98,7 @@ class TestDropInBehaviour:
         assert [h.cache for h in holders] == [CACHE_A]
         held = table.leases_of(CACHE_A, now=25.0)
         assert [lease.name for lease in held] == [Name.from_text("w.x.com")]
-        assert table.column_stats()["slots"] == 1
+        assert len(table) == 1
 
     def test_sweep_removes_expired(self, table):
         table.grant(CACHE_A, "w.x.com", RRType.A, now=0.0, length=10.0)
@@ -114,13 +106,6 @@ class TestDropInBehaviour:
         assert table.sweep(now=50.0) == 1
         assert len(table) == 1
         assert table.stats.expirations == 1
-
-    def test_snapshot_not_live_view(self, table):
-        first = table.grant(CACHE_A, "w.x.com", RRType.A, 0.0, 10.0)
-        table.grant(CACHE_A, "w.x.com", RRType.A, 5.0, 10.0)
-        # The earlier snapshot keeps its original stamps; the table moved.
-        assert first.granted_at == 0.0
-        assert table.get(CACHE_A, "w.x.com", RRType.A).granted_at == 5.0
 
     def test_track_file_round_trip(self, table, tmp_path):
         table.grant(CACHE_A, "w.x.com", RRType.A, now=3.0, length=7.0)
@@ -134,104 +119,9 @@ class TestDropInBehaviour:
         with pytest.raises(ValueError):
             table.grant(CACHE_A, "w.x.com", RRType.A, 0.0, 0.0)
 
+
 class TestMiddlewareBackendKnob:
-    """The config knob swaps the live track file to the columnar table."""
-
-    def test_array_backend_serves_live_leases(self, make_host, simulator):
-        from repro.core import DynamicLeasePolicy, attach_dnscup
-        from repro.dnslib import Rcode
-        from repro.server import (
-            AuthoritativeServer, RecursiveResolver, ResolverCache)
-        from repro.zone import load_zone
-        from tests.conftest import EXAMPLE_ZONE_TEXT
-        from tests.test_core_middleware import ROOT_TEXT
-
-        AuthoritativeServer(make_host("198.41.0.4"),
-                            [load_zone(ROOT_TEXT, origin=Name.root())])
-        auth = AuthoritativeServer(make_host("10.1.0.1"),
-                                   [load_zone(EXAMPLE_ZONE_TEXT)])
-        middleware = attach_dnscup(
-            auth, policy=DynamicLeasePolicy(0.0),
-            config=DNScupConfig(lease_table_backend="array"))
-        assert isinstance(middleware.table, ArrayLeaseTable)
-        resolver = RecursiveResolver(make_host("10.2.0.1"),
-                                     [("198.41.0.4", 53)],
-                                     cache=ResolverCache(),
-                                     dnscup_enabled=True)
-        results = []
-        resolver.resolve("www.example.com", RRType.A,
-                         lambda recs, rc: results.append(rc))
-        simulator.run()
-        assert results == [Rcode.NOERROR]
-        assert len(middleware.table) == 1
-        assert middleware.summary()["active_leases"] == 1.0
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        # There is one lease table; the config has no backend selector.
+        with pytest.raises(TypeError):
             DNScupConfig(lease_table_backend="bogus")
-
-
-# -- observable equivalence on random operation sequences ----------------------
-
-
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("grant"),
-                  st.integers(0, len(CACHES) - 1),
-                  st.integers(0, len(NAMES) - 1),
-                  st.floats(min_value=0.5, max_value=60.0)),
-        st.tuples(st.just("revoke"),
-                  st.integers(0, len(CACHES) - 1),
-                  st.integers(0, len(NAMES) - 1)),
-        st.tuples(st.just("sweep")),
-    ),
-    min_size=0, max_size=40)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops=operations, capacity=st.one_of(st.none(), st.integers(1, 4)),
-       step=st.floats(min_value=0.0, max_value=30.0))
-def test_equivalent_to_dict_table(ops, capacity, step):
-    """Same operation sequence -> same observable state, both backends."""
-    reference = LeaseTable(capacity=capacity)
-    columnar = ArrayLeaseTable(capacity=capacity)
-    now = 0.0
-    for op in ops:
-        now += step
-        if op[0] == "grant":
-            _, cache_i, name_i, length = op
-            ref = reference.grant(CACHES[cache_i], NAMES[name_i], RRType.A,
-                                  now, length)
-            col = columnar.grant(CACHES[cache_i], NAMES[name_i], RRType.A,
-                                 now, length)
-            assert (ref is None) == (col is None)
-            if ref is not None:
-                assert dataclasses.astuple(ref) == dataclasses.astuple(col)
-        elif op[0] == "revoke":
-            _, cache_i, name_i = op
-            assert (reference.revoke(CACHES[cache_i], NAMES[name_i], RRType.A)
-                    == columnar.revoke(CACHES[cache_i], NAMES[name_i],
-                                       RRType.A))
-        else:
-            assert reference.sweep(now) == columnar.sweep(now)
-        # -- observable state must agree after every operation ------------
-        assert len(reference) == len(columnar)
-        assert reference.active_count(now) == columnar.active_count(now)
-        assert dataclasses.astuple(reference.stats) \
-            == dataclasses.astuple(columnar.stats)
-        assert set(reference.tracked_records()) \
-            == set(columnar.tracked_records())
-        # Sorted multisets, not sets: set comparison would collapse the
-        # duplicate snapshots a stale posting-list entry produces.
-        for name in NAMES:
-            ref_holders = sorted((h.cache, h.name, h.granted_at) for h in
-                                 reference.holders(name, RRType.A, now))
-            col_holders = sorted((h.cache, h.name, h.granted_at) for h in
-                                 columnar.holders(name, RRType.A, now))
-            assert ref_holders == col_holders
-        for cache in CACHES:
-            ref_held = sorted((l.cache, l.name, l.granted_at) for l in
-                              reference.leases_of(cache, now))
-            col_held = sorted((l.cache, l.name, l.granted_at) for l in
-                              columnar.leases_of(cache, now))
-            assert ref_held == col_held

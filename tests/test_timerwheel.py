@@ -1,40 +1,29 @@
-"""The hierarchical timer wheel against the reference heap backend.
+"""Event-ordering edge cases for the :class:`Simulator` heap queue.
 
-The contract is *identical fire sequences*: for any schedule/cancel
-workload, ``Simulator(queue="wheel")`` must fire the same events at the
-same times in the same order as ``Simulator(queue="heap")`` — the
-(time, seq) contract both backends implement.  Cascade boundaries
-(timers landing exactly on bucket edges at every level) get dedicated
-regression tests: an off-by-one in the bucket hash shows up precisely
-there.
+The scenarios probe where a bucketed timer queue goes wrong: same-time
+order, cancellation, sparse timestamps, timers exactly on power-of-64
+bucket edges, and times that are not binary fractions.  Each pins the
+queue's ``(time, seq)`` fire order.  The property test against a
+sorted event-list model is in ``tests/test_net_simulator.py``.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.net.simulator import Simulator
-from repro.net.timerwheel import HierarchicalTimerWheel
 
 
-def make_pair():
-    return Simulator(queue="heap"), Simulator(queue="wheel")
-
-
-def run_both(program):
-    """Apply ``program(sim, log)`` to both backends; compare the logs."""
-    logs = []
-    for sim in make_pair():
-        log = []
-        program(sim, log)
-        logs.append(log)
-    assert logs[0] == logs[1], \
-        f"\nheap:  {logs[0][:20]}\nwheel: {logs[1][:20]}"
-    return logs[0]
+def run_program(program):
+    """Apply ``program(sim, log)`` to a fresh simulator; return the log."""
+    sim = Simulator()
+    log = []
+    program(sim, log)
+    return log
 
 
 class TestBackendBasics:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        # There is one queue; the simulator takes no backend selector.
+        with pytest.raises(TypeError):
             Simulator(queue="btree")
 
     def test_fire_order_same_time_is_schedule_order(self):
@@ -42,7 +31,7 @@ class TestBackendBasics:
             for tag in "abc":
                 sim.schedule(1.0, lambda tag=tag: log.append((sim.now, tag)))
             sim.run()
-        assert run_both(program) == [(1.0, "a"), (1.0, "b"), (1.0, "c")]
+        assert run_program(program) == [(1.0, "a"), (1.0, "b"), (1.0, "c")]
 
     def test_cancel_is_effective_and_idempotent(self):
         def program(sim, log):
@@ -53,7 +42,7 @@ class TestBackendBasics:
             sim.run()
             log.append(sim.pending)
             log.append(keep.cancelled)
-        assert run_both(program) == ["keep", 0, False]
+        assert run_program(program) == ["keep", 0, False]
 
     def test_handles_carry_explicit_sequence(self):
         sim = Simulator()
@@ -73,7 +62,7 @@ class TestBackendBasics:
             sim.schedule(1.0, first)
             sim.schedule(1.0, lambda: log.append("second"))
             sim.run()
-        assert run_both(program) == ["first", "second", "soon"]
+        assert run_program(program) == ["first", "second", "soon"]
 
     def test_run_until_advances_between_sparse_buckets(self):
         def program(sim, log):
@@ -84,12 +73,12 @@ class TestBackendBasics:
             log.append(sim.run_until(6000.0))
             log.append(sim.now)
             sim.run()
-        assert run_both(program) == [
+        assert run_program(program) == [
             ("a", 0.5), 1, 0.5, ("b", 5000.0), 1, 6000.0]
 
 
 class TestCascadeBoundaries:
-    """Timers landing exactly on wheel-tick and level edges."""
+    """Timers landing exactly on power-of-64 bucket edges."""
 
     RESOLUTION = 1.0 / 64
     WHEEL = 64
@@ -114,45 +103,38 @@ class TestCascadeBoundaries:
             for i, time in enumerate(times):
                 sim.schedule_at(time, lambda i=i: log.append((sim.now, i)))
             sim.run()
-        fired = run_both(program)
+        fired = run_program(program)
         assert len(fired) == len(times)
         assert [t for t, _i in fired] == sorted(t for t, _i in fired)
 
     def test_timer_exactly_on_level_horizon(self):
-        # delta == horizon of level l must hash into level l+1 and
-        # cascade back down without firing early or late.
-        wheel = HierarchicalTimerWheel(0.0, resolution=self.RESOLUTION,
-                                       wheel_size=self.WHEEL)
-        sim = Simulator(queue="heap")  # donor for handles
+        # Timers on, and just before, the first and second power-of-64
+        # horizons fire in time order, each exactly at its own time.
         horizon0 = self.RESOLUTION * self.WHEEL
-        handles = [sim.schedule_at(t, lambda: None)
-                   for t in (horizon0, horizon0 - self.RESOLUTION / 4,
-                             horizon0 * self.WHEEL)]
-        for handle in handles:
-            wheel.push(handle)
-        popped = []
-        while True:
-            head = wheel.pop()
-            if head is None:
-                break
-            popped.append(head.time)
-        assert popped == sorted(h.time for h in handles)
+        times = (horizon0, horizon0 - self.RESOLUTION / 4,
+                 horizon0 * self.WHEEL)
+
+        def program(sim, log):
+            for time in times:
+                sim.schedule_at(time, lambda: log.append(sim.now))
+            sim.run()
+        assert run_program(program) == sorted(times)
 
     def test_non_binary_resolution_fires_in_order(self):
-        # resolution=0.1 is not an exact binary fraction, so slot * span
-        # arithmetic carries float rounding; the true floor and the
-        # clamped bucket start must still preserve (time, seq) order.
-        wheel = HierarchicalTimerWheel(0.0, resolution=0.1, wheel_size=4,
-                                       levels=4)
-        sim = Simulator(queue="heap")  # donor for handles
+        # Multiples of 0.1 are not exact binary fractions, and some of
+        # them collide; (time, seq) order must still hold exactly.
         times = [k * 0.1 for k in range(1, 40)]
         times += [k * 0.1 + 1e-12 for k in range(1, 40, 3)]
         times += [0.1 * 4 ** level for level in range(1, 4)]
-        handles = [sim.schedule_at(t, lambda: None) for t in times]
-        for handle in handles:
-            wheel.push(handle)
-        popped = [(h.time, h.seq) for h in iter(wheel.pop, None)]
-        assert popped == sorted((h.time, h.seq) for h in handles)
+
+        def program(sim, log):
+            handles = [sim.schedule_at(t, lambda i=i: log.append(i))
+                       for i, t in enumerate(times)]
+            sim.run()
+            log[:] = [(handles[i].time, handles[i].seq) for i in log]
+        fired = run_program(program)
+        assert len(fired) == len(times)
+        assert fired == sorted(fired)
 
     def test_cancelled_timer_in_cascaded_bucket(self):
         def program(sim, log):
@@ -161,7 +143,7 @@ class TestCascadeBoundaries:
             sim.schedule_at(3 * span1, lambda: log.append("kept"))
             sim.schedule_at(span1 / 2, lambda: victim.cancel())
             sim.run()
-        assert run_both(program) == ["kept"]
+        assert run_program(program) == ["kept"]
 
     def test_same_time_events_across_bucket_creation_orders(self):
         # Two events at one timestamp, scheduled around a cascade: the
@@ -175,53 +157,4 @@ class TestCascadeBoundaries:
             sim.schedule_at(target, lambda: log.append("early-sched"))
             sim.schedule_at(span1, late_schedule)
             sim.run()
-        assert run_both(program) == ["early-sched", "late-sched"]
-
-
-# -- property: any workload, identical sequences -------------------------------
-
-
-program_strategy = st.lists(
-    st.one_of(
-        # (schedule, delay-seconds, daemon?)
-        st.tuples(st.just("schedule"),
-                  st.floats(min_value=0.0, max_value=9000.0,
-                            allow_nan=False, allow_infinity=False),
-                  st.booleans()),
-        # cancel the i-th schedule so far (modulo live count)
-        st.tuples(st.just("cancel"), st.integers(0, 200)),
-        # run for a stretch of virtual time
-        st.tuples(st.just("run_for"), st.floats(min_value=0.0,
-                                                max_value=500.0,
-                                                allow_nan=False,
-                                                allow_infinity=False)),
-    ),
-    min_size=0, max_size=60)
-
-
-@settings(max_examples=200, deadline=None)
-@given(program=program_strategy)
-def test_wheel_and_heap_fire_identically(program):
-    logs = []
-    for sim in make_pair():
-        log = []
-        handles = []
-        counter = [0]
-        for op in program:
-            if op[0] == "schedule":
-                _, delay, daemon = op
-                tag = counter[0]
-                counter[0] += 1
-                handles.append(sim.schedule(
-                    delay, lambda tag=tag: log.append((sim.now, tag)),
-                    daemon=daemon))
-            elif op[0] == "cancel":
-                if handles:
-                    handles[op[1] % len(handles)].cancel()
-            else:
-                sim.run_for(op[1])
-        sim.run()
-        log.append(("pending", sim.pending))
-        log.append(("processed", sim.events_processed))
-        logs.append(log)
-    assert logs[0] == logs[1]
+        assert run_program(program) == ["early-sched", "late-sched"]
