@@ -6,8 +6,9 @@ the :class:`~repro.obs.IncrementalAuditor` one event at a time, and
 holds the streaming plane to its two commitments:
 
 * **bit-for-bit equivalence** — the streamed violation list (order,
-  kinds, messages) and the check counts must equal what the batch
-  :func:`~repro.obs.audit_trace` computes over the complete trace;
+  kinds, messages) and the check counts must equal what the frozen
+  batch oracle (``tests/audit_oracle.py``) computes over the complete
+  trace;
 * **bounded memory** — the peak number of tracked spans (live leases +
   unretired changes) must stay under the committed per-scenario caps
   below, all far beneath the event counts a batch audit holds.
@@ -19,8 +20,9 @@ handful, the loss ablation at ~the grant count.
 
 from __future__ import annotations
 
-from repro.obs import AuditLimits, IncrementalAuditor, audit_trace
+from repro.obs import AuditLimits, IncrementalAuditor
 from repro.sim import Testbed, TestbedConfig, run_figure7_scenario
+from tests.audit_oracle import audit_trace as oracle_audit
 
 from benchmarks.bench_abl_udp_loss import CHANGES, run_loss_level
 from benchmarks.bench_flash_crowd import run_flash_crowd
@@ -71,7 +73,7 @@ def stream_scenario(name):
     for event in events:
         auditor.feed(event)
     stream = auditor.report()
-    batch = audit_trace(events, limits=limits)
+    batch = oracle_audit(events, limits=limits)
     return {
         "scenario": name,
         "events": len(events),

@@ -10,7 +10,9 @@ testbed (:mod:`repro.sim.livetestbed`):
   with ``fail_fast`` the first permanent violation surfaces through the
   clock's error probes and aborts
   :meth:`~repro.net.clock.LiveClock.wait_quiescent` — the live run
-  fails at the moment the invariant breaks;
+  fails at the moment the invariant breaks; when the bundle carries a
+  wire capture, the final verdict includes the trace/wire check, so
+  the plane judges a run exactly as a post-hoc audit does;
 * **periodic snapshots** — a daemon tick on the
   :class:`~repro.net.clock.LiveClock`
   (:meth:`~repro.net.clock.LiveClock.schedule_repeating`) renders the
@@ -185,8 +187,12 @@ class TelemetryPlane:
         self.prefix = prefix
         window_hist = self.registry.histogram(CONSISTENCY_WINDOW_METRIC,
                                               LATENCY_BUCKETS)
-        self.auditor = IncrementalAuditor(limits=limits,
-                                          window_hist=window_hist)
+        # The capture keeps growing while the run executes; the wire
+        # check reads it whole when the verdict is asked for.
+        capture = observability.capture
+        self.auditor = IncrementalAuditor(
+            limits=limits, window_hist=window_hist,
+            capture=capture.records if capture is not None else None)
         #: Permanent violations in detection order (grows via the tap).
         self.violations: List[Violation] = []
         self.port: Optional[TextExpositionPort] = None

@@ -17,10 +17,11 @@ On top of the raw record sits the auditing layer:
 
 * :mod:`repro.obs.spans` rebuilds causal spans — per-change
   notification trees and per-pair lease lifecycles;
-* :mod:`repro.obs.audit` checks the protocol's guarantees over those
-  spans (completeness, termination, causality, budget conformance,
+* :mod:`repro.obs.audit` checks the protocol's guarantees
+  (completeness, termination, causality, budget conformance,
   staleness, trace/wire agreement) and emits :class:`Violation`
-  records;
+  records, through the one auditor,
+  :class:`~repro.obs.streaming.IncrementalAuditor`;
 * :mod:`repro.obs.report` renders bucket-interpolated percentiles,
   per-domain timelines, and the markdown run report behind
   ``repro-obs audit|spans|report``.
@@ -85,10 +86,7 @@ from .spans import (
     SpanSet,
     build_spans,
 )
-from .streaming import (
-    IncrementalAuditor,
-    StreamReport,
-)
+from .streaming import IncrementalAuditor
 from .trace import (
     CHANGE_DETECTED,
     CHANGE_SETTLED,
@@ -143,7 +141,7 @@ __all__ = [
     "ChangeSpan", "LeaseSpan", "NotificationLeg", "SpanSet", "build_spans",
     "AuditLimits", "AuditReport", "Violation", "VIOLATION_KINDS",
     "audit_trace", "audit_observability",
-    "IncrementalAuditor", "StreamReport",
+    "IncrementalAuditor",
     "COMPLETENESS", "TERMINATION", "CAUSALITY",
     "BUDGET_STORAGE", "BUDGET_RENEWAL", "STALENESS", "WIRE",
     "histogram_percentile", "percentiles", "REPORT_QUANTILES",

@@ -16,8 +16,9 @@ module rebuilds those stories:
 Matching is *positional*: events are consumed in trace order, so an
 acknowledgement only ever resolves a send that precedes it.  Events
 that tell no coherent story — an ack with no outstanding send, an
-expiry with no live lease — land in :attr:`SpanSet.orphans`, which the
-auditor (:mod:`repro.obs.audit`) treats as causality violations.
+expiry with no live lease — land in :attr:`SpanSet.orphans`; the
+auditor (:class:`repro.obs.IncrementalAuditor`) matches events the
+same way and reports such events as causality violations.
 """
 
 from __future__ import annotations
@@ -204,13 +205,6 @@ class SpanSet:
             if span.seq == seq:
                 return span
         return None
-
-    def holders_at(self, name: str, rrtype: str, t: float,
-                   index: int) -> List[LeaseSpan]:
-        """Lease spans live on (name, rrtype) at time ``t``/``index``."""
-        return [span for span in self.leases
-                if span.name == name and span.rrtype == rrtype
-                and span.covers(t, index)]
 
 
 def _as_seq(fields: Dict[str, object]) -> int:

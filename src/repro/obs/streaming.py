@@ -1,10 +1,9 @@
-"""Streaming protocol audit: one event at a time, bounded memory.
+"""The protocol auditor: one event at a time, bounded memory.
 
-:func:`repro.obs.audit.audit_trace` is a batch auditor — it wants the
-whole trace in memory before it says anything.  That shape cannot
-watch a long-lived live run (PR 7) or follow a growing JSONL export:
-by the time the verdict arrives the run is over.
-:class:`IncrementalAuditor` runs the same invariant checks online:
+:class:`IncrementalAuditor` checks the invariants listed in
+:mod:`repro.obs.audit` online, so it can watch a long-lived live run or
+follow a growing JSONL export; :func:`repro.obs.audit_trace` is the
+same auditor fed a whole trace at once.
 
 * feed it trace events in emission order (:meth:`feed` /
   :meth:`feed_many`);
@@ -16,48 +15,56 @@ by the time the verdict arrives the run is over.
 * obligations that a later event may still discharge (an unresolved
   ``notify.send``, an unnotified lease holder, an unsettled change)
   are held as **pending** state and materialize as violations only
-  when :meth:`report` is asked for a verdict, exactly as the batch
-  auditor would flag them on the same prefix.
+  when :meth:`report` is asked for a verdict on the prefix seen.
 
 Memory stays bounded by the *in-flight* protocol state, not the trace
 length: once a change span was detected, settled and every leg has
 resolved, the span is retired — its heavy per-leg state is dropped and
 only a small per-seq residue (settle index, counters, the verdict its
-retirement issued) survives to classify late events the same way the
-batch auditor does.  The peak number of tracked spans (unretired
-changes + live leases + unresolved untracked legs) is exposed as
+retirement issued) survives to classify late events.  The peak number
+of tracked spans (unretired changes + live leases + unresolved
+untracked legs) is exposed as
 :attr:`IncrementalAuditor.peak_tracked_spans` and asserted against
-documented bounds in the benches.
+documented bounds in the benches.  Each ack, retransmit or timeout
+finds its leg through a FIFO queue keyed like
+:func:`repro.obs.spans.build_spans` keys its legs — ``(seq, cache)``,
+or ``(0, cache, name, rrtype)`` for untracked legs — so matching is
+O(1) per event and a 10^5-leg fan-out audits in linear time.
 
-Equivalence contract (property-tested in
-``tests/test_obs_streaming.py`` and asserted bit-for-bit in
-``benchmarks/bench_streaming_audit.py``): on every prefix of any
-trace, :meth:`report` yields the same
-:class:`~repro.obs.audit.Violation` multiset, check counts, and event
-totals as ``audit_trace`` over that prefix.  Retirement verdicts are
-issued as permanent on the assumption that the trace is
-*prefix-complete*: no ``notify.send`` for a seq arrives after that
-seq's change retired — true of every trace the instrumentation emits,
-because the notification module settles a change only once all its
-legs resolved and a new change to the same record gets a fresh seq.
-A late send that breaks the assumption reopens the change and
+The wire check is the exception to bounded memory.  A datagram can
+still be in flight when its leg times out, so the check needs the
+*complete* capture and runs in :meth:`report`; with a ``capture`` the
+auditor keeps every leg that carries a message id (id, cache, seq,
+send index/time, attempts, ack index/time) until then.  Without one,
+nothing outlives its span.
+
+Retirement verdicts are issued as permanent on the assumption that the
+trace is *prefix-complete*: no ``notify.send`` for a seq arrives after
+that seq's change retired — true of every trace the instrumentation
+emits, because the notification module settles a change only once all
+its legs resolved and a new change to the same record gets a fresh
+seq.  A late send that breaks the assumption reopens the change and
 withdraws the violations its retirement issued, so the report stays
 exact; they were already returned by :meth:`IncrementalAuditor.feed`,
 and ``window_hist`` keeps the window observed at the first retirement.
 
-Both auditors build violations through the shared constructors in
-:mod:`repro.obs.audit`, so messages and evidence tuples agree by
-construction, not by parallel maintenance.
+``tests/audit_oracle.py`` keeps a whole-trace batch auditor as a
+test-only second opinion: a Hypothesis property checks that
+:meth:`report` equals its verdict on every prefix of tampered traces.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+import functools
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .audit import (
     AuditLimits,
+    AuditReport,
     BUDGET_RENEWAL,
     BUDGET_STORAGE,
     CAUSALITY,
@@ -65,6 +72,7 @@ from .audit import (
     FLOAT_SLACK,
     STALENESS,
     TERMINATION,
+    WIRE,
     Violation,
     ack_before_send_violation,
     ack_missing_rtt_violation,
@@ -85,6 +93,7 @@ from .audit import (
     unresolved_leg_violation,
     untracked_unresolved_violation,
 )
+from .capture import FATE_DELIVERED
 from .metrics import Histogram
 from .spans import _as_seq
 from .trace import (
@@ -102,18 +111,33 @@ from .trace import (
 )
 
 _LeaseKey = Tuple[str, str, str]
+_LegKey = Tuple[object, ...]
+_Handler = Callable[[int, float, Dict[str, object]], None]
+
+
+def _leg_key(seq: int, cache: str, name: object,
+             rrtype: object) -> _LegKey:
+    """What an ack/retransmit/timeout must share with its send."""
+    return (seq, cache) if seq else (0, cache, name, rrtype)
 
 
 @dataclasses.dataclass
 class _Leg:
-    """One in-flight notification leg (forgotten once resolved)."""
+    """One notification leg: in flight until an ack or timeout; kept
+    after that only as a wire record (a capture was given and the
+    send carried a message id)."""
 
     seq: int
     cache: str
     name: object
     rrtype: object
+    msg_id: object
     send_index: int
     send_t: float
+    #: Datagram transmissions: the send plus every retransmit.
+    attempts: int = 1
+    ack_index: Optional[int] = None
+    ack_t: Optional[float] = None
 
 
 @dataclasses.dataclass
@@ -141,8 +165,9 @@ class _Change:
     detected_t: Optional[float] = None
     name: object = None
     rrtype: object = None
-    #: Unresolved legs in send order (resolved legs are dropped).
-    unresolved: List[_Leg] = dataclasses.field(default_factory=list)
+    #: Unresolved legs by send index, in send order (resolved legs are
+    #: dropped).
+    unresolved: Dict[int, _Leg] = dataclasses.field(default_factory=dict)
     #: send_index of every leg, resolved or not (for the never-settled
     #: evidence tuple); emptied at retirement.
     send_indices: List[int] = dataclasses.field(default_factory=list)
@@ -173,60 +198,24 @@ class _Change:
     window_observed: bool = False
 
 
-@dataclasses.dataclass
-class StreamReport:
-    """The incremental auditor's verdict over the events fed so far.
-
-    :meth:`as_dict` mirrors :meth:`repro.obs.audit.AuditReport.as_dict`
-    key-for-key (``capture_audited`` is always None — the streaming
-    plane audits the trace only), so the two verdicts compare directly.
-    """
-
-    violations: List[Violation]
-    checks: Dict[str, int]
-    events_audited: int
-    #: Currently tracked spans and the high-water mark (the documented
-    #: memory bound: unretired changes + live leases + unresolved
-    #: untracked legs).
-    tracked_spans: int
-    peak_tracked_spans: int
-
-    @property
-    def ok(self) -> bool:
-        """True when no invariant is violated on the prefix seen."""
-        return not self.violations
-
-    def counts(self) -> Dict[str, int]:
-        """Violation kind -> occurrences, sorted by kind."""
-        tally: Dict[str, int] = {}
-        for violation in self.violations:
-            tally[violation.kind] = tally.get(violation.kind, 0) + 1
-        return dict(sorted(tally.items()))
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form comparable to the batch auditor's."""
-        return {
-            "ok": self.ok,
-            "events_audited": self.events_audited,
-            "capture_audited": None,
-            "checks": dict(sorted(self.checks.items())),
-            "violation_counts": self.counts(),
-            "violations": [v.as_dict() for v in self.violations],
-        }
-
-
 class IncrementalAuditor:
-    """Single-pass, bounded-memory equivalent of ``audit_trace``.
+    """Single-pass, bounded-memory protocol auditor.
 
     ``window_hist`` (optional) receives one observation per settled
     change — its recomputed consistency window — at retirement time;
     the tail follower uses it for rolling p50/p95 percentiles.
+    ``capture`` (optional) is the wire-capture record list the wire
+    check runs against in :meth:`report`; a live capture may keep
+    growing while events are fed.
     """
 
     def __init__(self, limits: Optional[AuditLimits] = None,
-                 window_hist: Optional[Histogram] = None) -> None:
+                 window_hist: Optional[Histogram] = None,
+                 capture: Optional[Sequence[Dict[str, object]]] = None
+                 ) -> None:
         self.limits = limits or AuditLimits()
         self.window_hist = window_hist
+        self.capture = capture
         self._permanent: List[Violation] = []
         #: Permanent violations withdrawn by the event being fed.
         self._withdrawn = 0
@@ -236,13 +225,32 @@ class IncrementalAuditor:
         self._changes: Dict[int, _Change] = {}
         self._open_changes = 0
         self._leases: Dict[_LeaseKey, _Lease] = {}
-        self._untracked: List[_Leg] = []
-        # Budget replay state (mirrors _audit_budgets exactly, with the
-        # renewal sliding window as a real deque instead of a list that
-        # only ever grows).
+        #: Unresolved untracked (seq 0) legs by send index.
+        self._untracked: Dict[int, _Leg] = {}
+        #: Unresolved legs per matching key, oldest send first.
+        self._queues: Dict[_LegKey, Deque[_Leg]] = {}
+        #: Legs the wire check will judge (None without a capture).
+        self._wire_legs: Optional[List[_Leg]] = \
+            [] if capture is not None else None
+        # Budget replay state: live lease count and the renewal times
+        # inside the sliding window.
         self._budget_active = 0
         self._renew_times: Deque[float] = collections.deque()
         self.peak_tracked_spans = 0
+        #: Event name -> handler; other events (transport, push, load)
+        #: are only counted.
+        self._handlers: Dict[str, _Handler] = {
+            NOTIFY_SEND: self._on_send,
+            NOTIFY_ACK: self._on_ack,
+            NOTIFY_RETRANSMIT: self._on_retransmit,
+            NOTIFY_TIMEOUT: self._on_timeout,
+            CHANGE_DETECTED: self._on_detected,
+            CHANGE_SETTLED: self._on_settled,
+            LEASE_GRANT: functools.partial(self._on_lease_start, LEASE_GRANT),
+            LEASE_RENEW: functools.partial(self._on_lease_start, LEASE_RENEW),
+            LEASE_EXPIRE: functools.partial(self._on_lease_end, LEASE_EXPIRE),
+            LEASE_REVOKE: functools.partial(self._on_lease_end, LEASE_REVOKE),
+        }
 
     # -- public surface ------------------------------------------------------
 
@@ -265,27 +273,15 @@ class IncrementalAuditor:
 
     def feed(self, event: TraceEvent) -> List[Violation]:
         """Consume one trace event; return newly-permanent violations."""
-        before = len(self._permanent)
-        self._withdrawn = 0
         t, name, fields = event
         index = self._events
         self._events += 1
-        if name == NOTIFY_SEND:
-            self._on_send(index, t, fields)
-        elif name == NOTIFY_ACK:
-            self._on_ack(index, t, fields)
-        elif name == NOTIFY_RETRANSMIT:
-            self._on_retransmit(index, t, fields)
-        elif name == NOTIFY_TIMEOUT:
-            self._on_timeout(index, t, fields)
-        elif name == CHANGE_DETECTED:
-            self._on_detected(index, t, fields)
-        elif name == CHANGE_SETTLED:
-            self._on_settled(index, t, fields)
-        elif name in (LEASE_GRANT, LEASE_RENEW):
-            self._on_lease_start(name, index, t, fields)
-        elif name in (LEASE_EXPIRE, LEASE_REVOKE):
-            self._on_lease_end(name, index, fields)
+        handler = self._handlers.get(name)
+        if handler is None:
+            return []
+        before = len(self._permanent)
+        self._withdrawn = 0
+        handler(index, t, fields)
         tracked = self.tracked_spans
         if tracked > self.peak_tracked_spans:
             self.peak_tracked_spans = tracked
@@ -301,16 +297,16 @@ class IncrementalAuditor:
     def pending_violations(self) -> List[Violation]:
         """Obligations still open on the prefix seen so far.
 
-        These are exactly the violations the batch auditor would emit
-        for the same prefix on top of the permanent ones: unresolved
-        legs, unnotified holders, unsettled fan-outs, and bookkeeping
-        checks for spans that settled while legs were still in flight.
-        Non-destructive — feeding more events may discharge them.
+        The verdict on the prefix adds these to the permanent ones:
+        unresolved legs, unnotified holders, unsettled fan-outs, and
+        bookkeeping checks for spans that settled while legs were still
+        in flight.  Non-destructive — feeding more events may discharge
+        them.
         """
         pending: List[Violation] = []
         self._pending_checks = {}
         for change in self._changes.values():
-            for leg in change.unresolved:
+            for leg in change.unresolved.values():
                 pending.append(unresolved_leg_violation(
                     change.seq, leg.cache, leg.send_t, leg.send_index))
             if change.retired:
@@ -330,30 +326,72 @@ class IncrementalAuditor:
                     len(change.send_indices),
                     tuple(change.send_indices)))
             if change.settled_index is not None:
-                # Settled while legs were still unresolved: the batch
-                # auditor cross-checks the bookkeeping against the
-                # counts visible so far; redo that here without
-                # retiring, so a later resolution updates the verdict.
+                # Settled while legs were still unresolved: cross-check
+                # the bookkeeping against the counts visible so far,
+                # without retiring, so a later resolution updates the
+                # verdict.
                 pending.extend(self._settlement_violations(change))
-        for leg in self._untracked:
+        for leg in self._untracked.values():
             pending.append(untracked_unresolved_violation(
                 leg.cache, leg.send_t, leg.send_index))
         return pending
 
-    def report(self) -> StreamReport:
+    def report(self) -> AuditReport:
         """Full verdict over the prefix consumed so far."""
         violations = list(self._permanent)
         violations.extend(self.pending_violations())
-        total = self._events
-        violations.sort(key=lambda v: (v.events[0] if v.events else total,
-                                       v.kind))
         checks = dict(self._checks)
         for kind, amount in self._pending_checks.items():
             checks[kind] = checks.get(kind, 0) + amount
-        return StreamReport(
+        capture = self.capture
+        if capture is not None:
+            violations.extend(self._wire_violations(capture))
+            if self._wire_legs:
+                checks[WIRE] = len(self._wire_legs)
+        total = self._events
+        violations.sort(key=lambda v: (v.events[0] if v.events else total,
+                                       v.kind))
+        return AuditReport(
             violations=violations, checks=checks, events_audited=total,
-            tracked_spans=self.tracked_spans,
-            peak_tracked_spans=self.peak_tracked_spans)
+            capture_audited=len(capture) if capture is not None else None)
+
+    def _wire_violations(self, capture: Sequence[Dict[str, object]]
+                         ) -> List[Violation]:
+        """Each notify.send must leave matching datagrams in the capture:
+        enough transmissions for its attempts, and a delivered one
+        behind every acknowledgement."""
+        by_id: Dict[Tuple[object, str], List[Dict[str, object]]] = {}
+        for record in capture:
+            if record.get("opcode") != "CACHE-UPDATE" or record.get("qr"):
+                continue
+            key = (record.get("id"), str(record.get("dst")))
+            by_id.setdefault(key, []).append(record)
+        out: List[Violation] = []
+        for leg in self._wire_legs or ():
+            datagrams = by_id.get((leg.msg_id, leg.cache), [])
+            where = f"id={leg.msg_id} cache={leg.cache} seq={leg.seq}"
+            if not datagrams:
+                out.append(Violation(
+                    kind=WIRE, seq=leg.seq, t=leg.send_t,
+                    events=(leg.send_index,),
+                    message=f"notify.send matches no captured datagram "
+                            f"({where})"))
+                continue
+            if len(datagrams) < leg.attempts:
+                out.append(Violation(
+                    kind=WIRE, seq=leg.seq, t=leg.send_t,
+                    events=(leg.send_index,),
+                    message=(f"{leg.attempts} attempts but only "
+                             f"{len(datagrams)} captured datagrams "
+                             f"({where})")))
+            if leg.ack_index is not None and not any(
+                    d.get("fate") == FATE_DELIVERED for d in datagrams):
+                out.append(Violation(
+                    kind=WIRE, seq=leg.seq, t=leg.ack_t,
+                    events=(leg.send_index, leg.ack_index),
+                    message=(f"acknowledged but no captured datagram was "
+                             f"delivered ({where})")))
+        return out
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -374,21 +412,27 @@ class IncrementalAuditor:
             self._open_changes += 1
         return change
 
-    def _open_leg(self, seq: int, cache: str, name: object,
-                  rrtype: object) -> Optional[_Leg]:
+    def _open_leg(self, fields: Dict[str, object]) -> Optional[_Leg]:
         """The oldest unresolved leg this event can belong to."""
-        if seq:
-            change = self._changes.get(seq)
-            candidates = change.unresolved if change is not None else []
-        else:
-            candidates = self._untracked
-        for leg in candidates:
-            if leg.cache != cache:
-                continue
-            if seq == 0 and (leg.name != name or leg.rrtype != rrtype):
-                continue
-            return leg
-        return None
+        queue = self._queues.get(_leg_key(
+            _as_seq(fields), str(fields.get("cache")), fields.get("name"),
+            fields.get("rrtype")))
+        return queue[0] if queue else None
+
+    def _resolve(self, leg: _Leg) -> Optional[_Change]:
+        """Retire ``leg`` from the unresolved state; its change, if
+        tracked.  ``leg`` is the head of its queue (:meth:`_open_leg`)."""
+        key = _leg_key(leg.seq, leg.cache, leg.name, leg.rrtype)
+        queue = self._queues[key]
+        queue.popleft()
+        if not queue:
+            del self._queues[key]
+        if not leg.seq:
+            del self._untracked[leg.send_index]
+            return None
+        change = self._changes[leg.seq]
+        del change.unresolved[leg.send_index]
+        return change
 
     # -- change-span events --------------------------------------------------
 
@@ -407,9 +451,9 @@ class IncrementalAuditor:
         change.name = fields.get("name")
         change.rrtype = fields.get("rrtype")
         if change.name is not None:
-            # Completeness: snapshot the live holders right now — this
-            # is all the batch auditor's holders_at() can ever see for
-            # this detect index, so the snapshot is final.
+            # Completeness: snapshot the live holders right now — later
+            # events cannot change who held a lease at this detect
+            # index, so the snapshot is final.
             rrtype = change.rrtype or ""
             holders = sorted(
                 (lease.grant_index, lease.cache)
@@ -442,16 +486,23 @@ class IncrementalAuditor:
         seq = _as_seq(fields)
         leg = _Leg(seq=seq, cache=str(fields.get("cache")),
                    name=fields.get("name"), rrtype=fields.get("rrtype"),
-                   send_index=index, send_t=t)
+                   msg_id=fields.get("id"), send_index=index, send_t=t)
         self._check(TERMINATION)
         self._check(CAUSALITY)
+        key = _leg_key(seq, leg.cache, leg.name, leg.rrtype)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = collections.deque()
+        queue.append(leg)
+        if self._wire_legs is not None and leg.msg_id is not None:
+            self._wire_legs.append(leg)
         if not seq:
-            self._untracked.append(leg)
+            self._untracked[index] = leg
             return
         change = self._change_for(seq)
         if change.retired:
             self._reopen(change)
-        change.unresolved.append(leg)
+        change.unresolved[index] = leg
         change.send_indices.append(index)
         if change.pre_detect_caches is not None:
             change.pre_detect_caches.add(leg.cache)
@@ -460,12 +511,11 @@ class IncrementalAuditor:
 
     def _on_retransmit(self, index: int, t: float,
                        fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields)
         if leg is None:
             self._orphan(index, "retransmit without outstanding send")
             return
+        leg.attempts += 1
         attempt = int(fields.get("attempt", 0))
         if t < leg.send_t:
             self._permanent.append(retransmit_early_violation(
@@ -476,12 +526,12 @@ class IncrementalAuditor:
 
     def _on_ack(self, index: int, t: float,
                 fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields)
         if leg is None:
             self._orphan(index, "ack without outstanding send")
             return
+        leg.ack_index = index
+        leg.ack_t = t
         raw_rtt = fields.get("rtt")
         rtt = float(raw_rtt) if raw_rtt is not None else None
         if t < leg.send_t:
@@ -494,13 +544,10 @@ class IncrementalAuditor:
             self._permanent.append(rtt_mismatch_violation(
                 leg.seq, leg.cache, leg.send_t, t, leg.send_index,
                 index, rtt))
-        if not leg.seq:
-            # Untracked legs audit causality with default limits: no
-            # staleness bound applies (matching _audit_untracked).
-            self._untracked.remove(leg)
+        change = self._resolve(leg)
+        if change is None:
+            # Untracked legs owe causality only: no staleness bound.
             return
-        change = self._changes[leg.seq]
-        change.unresolved.remove(leg)
         change.acked += 1
         if change.ack_max is None or t > change.ack_max:
             change.ack_max = t
@@ -523,20 +570,16 @@ class IncrementalAuditor:
 
     def _on_timeout(self, index: int, t: float,
                     fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields)
         if leg is None:
             self._orphan(index, "timeout without outstanding send")
             return
         if t < leg.send_t:
             self._permanent.append(timeout_before_send_violation(
                 leg.seq, leg.cache, t, leg.send_index, index))
-        if not leg.seq:
-            self._untracked.remove(leg)
+        change = self._resolve(leg)
+        if change is None:
             return
-        change = self._changes[leg.seq]
-        change.unresolved.remove(leg)
         change.failed += 1
         if change.settled_index is not None:
             self._permanent.append(resolved_after_settled_violation(
@@ -683,7 +726,7 @@ class IncrementalAuditor:
                     t, index, self._budget_active,
                     self.limits.storage_budget))
 
-    def _on_lease_end(self, event: str, index: int,
+    def _on_lease_end(self, event: str, index: int, _t: float,
                       fields: Dict[str, object]) -> None:
         key: _LeaseKey = (str(fields.get("cache")),
                           str(fields.get("name")),
@@ -693,4 +736,4 @@ class IncrementalAuditor:
         self._budget_active = max(0, self._budget_active - 1)
 
 
-__all__ = ["IncrementalAuditor", "StreamReport"]
+__all__ = ["IncrementalAuditor"]

@@ -144,10 +144,11 @@ def _arm_midrun_scrape(testbed: LiveTestbed, plane, scrape: dict) -> None:
 def _finish_telemetry(testbed: LiveTestbed, plane, scrape: dict) -> dict:
     """Close out the streaming plane and build its summary block.
 
-    The final incremental verdict must agree with the post-hoc batch
-    audit of the same trace — identical violation multiset and check
-    counts — and the endpoint must have served a parseable exposition;
-    either failure turns ``ok`` False (and the exit code nonzero).
+    The final incremental verdict must agree with a fresh audit of the
+    full trace — identical violation multiset and check counts, which
+    catches any event the trace tap missed — and the endpoint must have
+    served a parseable exposition; either failure turns ``ok`` False
+    (and the exit code nonzero).
     """
     plane.stop()
     if "body" not in scrape:
@@ -164,18 +165,19 @@ def _finish_telemetry(testbed: LiveTestbed, plane, scrape: dict) -> dict:
         except ValueError as exc:
             scrape_error = exc
     stream = plane.auditor.report()
-    batch = audit_trace(list(testbed.observability.trace.events))
+    full = audit_trace(list(testbed.observability.trace.events),
+                       capture=plane.auditor.capture)
 
     def _key(violation) -> tuple:
         return (violation.kind, violation.message, tuple(violation.events))
 
     verdict_match = (
         sorted(_key(v) for v in stream.violations)
-        == sorted(_key(v) for v in batch.violations)
-        and stream.checks == batch.checks)
+        == sorted(_key(v) for v in full.violations)
+        and stream.checks == full.checks)
     host, port = plane.endpoint
     ok = (scrape_error is None and samples > 0 and verdict_match
-          and stream.ok == batch.ok)
+          and stream.ok == full.ok)
     return {
         "endpoint": f"{host}:{port}",
         "ticks": plane.ticks,
@@ -186,7 +188,8 @@ def _finish_telemetry(testbed: LiveTestbed, plane, scrape: dict) -> dict:
         "incremental_ok": stream.ok,
         "incremental_events": stream.events_audited,
         "incremental_violations": len(stream.violations),
-        "peak_tracked_spans": stream.peak_tracked_spans,
+        "incremental_capture_audited": stream.capture_audited,
+        "peak_tracked_spans": plane.auditor.peak_tracked_spans,
         "verdict_match": verdict_match,
         "ok": ok,
     }
@@ -230,7 +233,7 @@ def _print_summary(summary: dict) -> None:
             f"{'ok' if telemetry['incremental_ok'] else 'VIOLATIONS'} "
             f"({telemetry['incremental_events']} events, peak "
             f"{telemetry['peak_tracked_spans']} tracked spans, "
-            f"verdict {'matches' if telemetry['verdict_match'] else 'DIVERGES from'} batch audit)",
+            f"verdict {'matches' if telemetry['verdict_match'] else 'DIVERGES from'} full-trace audit)",
         ])
     print("\n".join(lines))
 

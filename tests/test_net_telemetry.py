@@ -112,13 +112,17 @@ class TestLivePlane:
             assert "dnscup_telemetry_audit_peak_tracked_spans" in samples
             assert samples["dnscup_telemetry_audit_violations"] == 0.0
             plane.stop()
-            # The streaming verdict is the batch verdict.
+            # The streaming verdict is the full-trace verdict, wire
+            # check included: the plane audits the live capture.
             events = list(testbed.observability.trace.events)
+            capture = testbed.observability.capture.records
             stream = plane.auditor.report()
-            batch = audit_trace(events)
+            batch = audit_trace(events, capture=capture)
             assert stream.ok and batch.ok
             assert stream.checks == batch.checks
+            assert stream.checks["wire"] > 0
             assert stream.events_audited == len(events)
+            assert stream.capture_audited == len(capture) > 0
             assert plane.violations == []
             # Final document reflects the completed run.
             final = parse_exposition(plane.document)

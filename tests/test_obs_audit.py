@@ -212,8 +212,9 @@ www  IN A   10.0.0.10
         simulator.run()
         report = audit_observability(obs, AuditLimits(storage_budget=10))
         assert report.ok, report.as_dict()
-        assert report.spans.change_for(1) is not None
-        assert len(report.spans.change_for(1).acked_legs()) == 1
+        spans = build_spans(list(obs.trace.events))
+        assert spans.change_for(1) is not None
+        assert len(spans.change_for(1).acked_legs()) == 1
 
     def test_audit_refuses_overflowed_trace(self):
         obs = Observability(trace=TraceBus(capacity=1), registry=None)

@@ -1,20 +1,22 @@
-"""Streaming audit ≡ batch audit, at every prefix, under tampering.
+"""The streaming auditor ≡ the frozen batch oracle, at every prefix.
 
 The :class:`repro.obs.IncrementalAuditor` contract: feeding any
 *prefix* of a trace and asking for the report yields exactly the
-violation multiset and check counts that :func:`repro.obs.audit_trace`
-computes over the same prefix — bit for bit, violation message for
-violation message — while holding only the *open* spans in memory.
-The Hypothesis property drives that equivalence through randomized
-tamperings (drops, duplicates, time shifts, rtt edits, field removals,
-swaps) of a clean protocol trace under tight budget/staleness limits,
-so both the clean paths and every violation path are exercised at
-every prefix length.
+violation multiset and check counts that the whole-trace batch auditor
+in ``tests/audit_oracle.py`` computes over the same prefix — bit for
+bit, violation message for violation message — while holding only the
+*open* spans in memory.  The Hypothesis property drives that
+equivalence through randomized tamperings (drops, duplicates, time
+shifts, rtt edits, field removals, swaps) of a clean protocol trace
+under tight budget/staleness limits, so both the clean paths and every
+violation path are exercised at every prefix length.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,12 @@ from repro.obs import (
     Histogram,
     IncrementalAuditor,
     audit_trace,
+    build_spans,
     consistency_windows,
 )
 from repro.sim import Testbed, TestbedConfig, run_figure7_scenario
+from tests.audit_oracle import audit_trace as oracle_audit
+from tests.test_obs_audit import capture_for
 
 NAME = "www.example.com."
 CACHE_A = "10.0.0.2:53"
@@ -88,7 +93,7 @@ def assert_equivalent_at_every_prefix(events, limits):
     for i, event in enumerate(events, start=1):
         auditor.feed(event)
         stream = auditor.report()
-        batch = audit_trace(events[:i], limits=limits)
+        batch = oracle_audit(events[:i], limits=limits)
         assert sorted(violation_key(v) for v in stream.violations) \
             == sorted(violation_key(v) for v in batch.violations), \
             f"violation multiset diverged at prefix {i}"
@@ -155,6 +160,117 @@ class TestPropertyEquivalence:
         assert auditor.report().ok
 
 
+CAPTURE_OPS = st.lists(
+    st.tuples(st.sampled_from(["drop", "lose", "forge"]),
+              st.integers(min_value=0, max_value=63)),
+    max_size=3)
+
+
+def tamper_capture(records, ops):
+    """Drop datagrams, mark them lost, or forge their message ids."""
+    records = [dict(record) for record in records]
+    for kind, index in ops:
+        if not records:
+            break
+        i = index % len(records)
+        if kind == "drop":
+            del records[i]
+        elif kind == "lose":
+            records[i]["fate"] = "dropped"
+        elif kind == "forge":
+            records[i]["id"] = 999
+    return records
+
+
+class TestWireCheck:
+    """The wire check runs over the whole capture in report()."""
+
+    @given(ops=OPS, capture_ops=CAPTURE_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_tampered_trace_and_capture_match_oracle(self, ops,
+                                                     capture_ops):
+        capture = tamper_capture(capture_for(clean_trace()), capture_ops)
+        events = apply_ops(clean_trace(), ops)
+        auditor = IncrementalAuditor(limits=TIGHT, capture=capture)
+        for i, event in enumerate(events, start=1):
+            auditor.feed(event)
+            stream = auditor.report()
+            batch = oracle_audit(events[:i], capture=capture,
+                                 limits=TIGHT)
+            assert stream.as_dict() == batch.as_dict(), i
+
+    def test_capture_audited_counts_the_capture(self):
+        events = clean_trace()
+        capture = capture_for(events)
+        report = audit_trace(events, capture=capture)
+        assert report.ok, report.as_dict()
+        assert report.capture_audited == len(capture)
+        assert report.checks["wire"] == 2  # one per notify.send
+        assert audit_trace(events).capture_audited is None
+        assert "wire" not in audit_trace(events).checks
+
+
+def fanout_trace(legs, seed=7):
+    """One change fanned out to ``legs`` lease holders, the acks coming
+    back in a seeded random order (network jitter)."""
+    caches = [f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}:53"
+              for i in range(legs)]
+    events = [(0.0, "lease.grant", {"cache": cache, "name": NAME,
+                                    "rrtype": "A", "length": 600.0})
+              for cache in caches]
+    detected = 10.0
+    events.append((detected, "change.detected",
+                   {"seq": 1, "zone": "example.com.", "name": NAME,
+                    "rrtype": "A", "kind": "update"}))
+    events.extend((detected, "notify.send",
+                   {"seq": 1, "cache": cache, "name": NAME, "rrtype": "A",
+                    "id": i & 0xFFFF})
+                  for i, cache in enumerate(caches))
+    order = list(caches)
+    random.Random(seed).shuffle(order)
+    ack_t = detected
+    for cache in order:
+        ack_t += 0.0001
+        events.append((ack_t, "notify.ack",
+                       {"seq": 1, "cache": cache, "name": NAME,
+                        "rrtype": "A", "rtt": ack_t - detected}))
+    events.append((ack_t, "change.settled",
+                   {"seq": 1, "window": ack_t - detected, "acked": legs,
+                    "failed": 0}))
+    return events
+
+
+class TestLegMatchingScales:
+    def test_fanout_audits_in_linear_time(self):
+        """Matching an ack to its leg is O(1): on a 20k-leg fan-out the
+        auditor costs at most 3x the span builder, which matches legs
+        through keyed FIFO queues (a scan over the unresolved legs is
+        quadratic and misses the bound by far)."""
+        events = fanout_trace(20_000)
+
+        def time_auditor():
+            start = time.perf_counter()
+            auditor = IncrementalAuditor()
+            auditor.feed_many(events)
+            elapsed = time.perf_counter() - start
+            assert auditor.report().ok
+            return elapsed
+
+        def time_spans():
+            start = time.perf_counter()
+            build_spans(events)
+            return time.perf_counter() - start
+
+        audit_times, span_times = [], []
+        # Alternate the sides and keep each side's fastest repeat, so a
+        # host stall during one region cannot decide the comparison.
+        for _ in range(5):
+            audit_times.append(time_auditor())
+            span_times.append(time_spans())
+        assert min(audit_times) <= 3.0 * min(span_times), \
+            (min(audit_times), min(span_times))
+
+
 class TestFailFast:
     def test_feed_returns_permanent_violations_as_they_land(self):
         events = clean_trace()
@@ -199,7 +315,7 @@ class TestFig7Stream:
         auditor = IncrementalAuditor(limits=FIG7_LIMITS)
         auditor.feed_many(fig7_events)
         stream = auditor.report()
-        batch = audit_trace(fig7_events, limits=FIG7_LIMITS)
+        batch = oracle_audit(fig7_events, limits=FIG7_LIMITS)
         assert [violation_key(v) for v in stream.violations] \
             == [violation_key(v) for v in batch.violations]
         assert stream.checks == batch.checks
@@ -212,7 +328,7 @@ class TestFig7Stream:
             if i % 37 and i != len(fig7_events):
                 continue
             stream = auditor.report()
-            batch = audit_trace(fig7_events[:i], limits=FIG7_LIMITS)
+            batch = oracle_audit(fig7_events[:i], limits=FIG7_LIMITS)
             assert sorted(violation_key(v) for v in stream.violations) \
                 == sorted(violation_key(v) for v in batch.violations), i
             assert stream.checks == batch.checks, i
